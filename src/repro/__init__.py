@@ -23,50 +23,27 @@ Quickstart::
     print(result.row_count, result.charged)
 """
 
-from repro.catalog.datagen import (
-    build_database,
-    paper_scale_database,
-    register_standard_functions,
-)
-from repro.database import Database
-from repro.exec import EXECUTORS, Executor, FailurePolicy, QueryResult
-from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.obs import MetricsRegistry, Tracer, record_run
-from repro.optimizer import (
-    STRATEGIES,
-    OptimizedPlan,
-    Query,
-    optimize,
-    optimize_degraded,
-)
-from repro.plan import explain, explain_analyze, plan_tree
-from repro.sql import compile_query
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Database",
-    "EXECUTORS",
-    "Executor",
-    "FailurePolicy",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "MetricsRegistry",
-    "OptimizedPlan",
-    "Query",
-    "QueryResult",
-    "STRATEGIES",
-    "Tracer",
-    "__version__",
-    "build_database",
-    "compile_query",
-    "explain",
-    "explain_analyze",
-    "optimize",
-    "optimize_degraded",
-    "paper_scale_database",
-    "plan_tree",
-    "record_run",
-    "register_standard_functions",
-]
+__all__ = ["__version__"] + lazy_exports(globals(), {
+    "catalog.datagen": (
+        "build_database",
+        "paper_scale_database",
+        "register_standard_functions",
+    ),
+    "database": ("Database",),
+    "exec": ("EXECUTORS", "Executor", "FailurePolicy", "QueryResult"),
+    "faults": ("FaultInjector", "FaultPlan", "FaultSpec"),
+    "obs": ("MetricsRegistry", "Tracer", "record_run"),
+    "optimizer": (
+        "OptimizedPlan",
+        "Query",
+        "STRATEGIES",
+        "optimize",
+        "optimize_degraded",
+    ),
+    "plan": ("explain", "explain_analyze", "plan_tree"),
+    "sql": ("compile_query",),
+})

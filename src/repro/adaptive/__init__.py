@@ -1,27 +1,18 @@
 """Mid-query adaptive re-optimization (drift-triggered suffix re-planning).
 
-Keep this package import-light: :mod:`repro.exec.runtime` imports the
-controller, so nothing here may import :mod:`repro.exec` (the workload
-and bench helpers, which do, live in their own modules and are imported
-directly by the CLI).
+The executor imports the controller only when a run is adaptive
+(:mod:`repro.exec.runtime`); the workload and bench helpers live in their
+own modules and are imported directly by the CLI.
 """
 
-from repro.adaptive.controller import (
-    AdaptiveController,
-    AdaptivePolicy,
-    AdaptiveReport,
-    CorrectedCostModel,
-)
-from repro.adaptive.inject import (
-    InjectedCardinalityStore,
-    load_injected_cards,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveController",
-    "AdaptivePolicy",
-    "AdaptiveReport",
-    "CorrectedCostModel",
-    "InjectedCardinalityStore",
-    "load_injected_cards",
-]
+__all__ = lazy_exports(globals(), {
+    "controller": (
+        "AdaptiveController",
+        "AdaptivePolicy",
+        "AdaptiveReport",
+        "CorrectedCostModel",
+    ),
+    "inject": ("InjectedCardinalityStore", "load_injected_cards"),
+})

@@ -10,27 +10,17 @@ Query 5 PullUp plan "never completed") via
 :class:`~repro.errors.BudgetExceededError`.
 """
 
-from repro.exec.cache import CacheStats, PredicateCache
-from repro.exec.containment import (
-    EXHAUSTION_POLICIES,
-    FailurePolicy,
-    QuarantineEntry,
-    QuarantineReport,
-)
-from repro.exec.operators import OperatorStats
-from repro.exec.runtime import EXECUTORS, Executor, QueryResult
-from repro.exec.vector import VectorPlanRunner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "EXECUTORS",
-    "EXHAUSTION_POLICIES",
-    "Executor",
-    "FailurePolicy",
-    "OperatorStats",
-    "PredicateCache",
-    "QuarantineEntry",
-    "QuarantineReport",
-    "QueryResult",
-    "VectorPlanRunner",
-]
+__all__ = lazy_exports(globals(), {
+    "cache": ("CacheStats", "PredicateCache"),
+    "containment": (
+        "EXHAUSTION_POLICIES",
+        "FailurePolicy",
+        "QuarantineEntry",
+        "QuarantineReport",
+    ),
+    "operators": ("OperatorStats",),
+    "runtime": ("EXECUTORS", "Executor", "QueryResult"),
+    "vector": ("VectorPlanRunner",),
+})

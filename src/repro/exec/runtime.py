@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.adaptive.controller import AdaptiveController, AdaptivePolicy
 from repro.cost.model import CostModel
 from repro.errors import BudgetExceededError, ExecutionError, UdfError
 from repro.exec.cache import CacheStats, PredicateCache
@@ -21,13 +21,16 @@ from repro.exec.operators import (
 )
 from repro.exec.vector import VectorPlanRunner
 from repro.storage.columnar import DEFAULT_BATCH_ROWS
-from repro.faults.clock import SimulatedClock
 from repro.expr.expressions import QualifiedColumn, Scope
 from repro.obs.profile import NULL_PROFILER
 from repro.obs.provenance import NULL_LEDGER
 from repro.obs.tracer import NULL_TRACER
 from repro.plan.display import _node_label
 from repro.plan.nodes import Plan, PlanNode
+
+if TYPE_CHECKING:
+    from repro.adaptive.controller import AdaptiveController, AdaptivePolicy
+    from repro.faults.clock import SimulatedClock
 
 #: Execution engines the facade can dispatch to: the tuple-at-a-time
 #: iterator tree, or the batch-at-a-time columnar tree (identical row
@@ -300,6 +303,8 @@ class Executor:
             # controller doubles as the feedback collector (tee-ing to
             # any user-supplied one) so drift detection rides the
             # existing evaluate_predicate bracket.
+            from repro.adaptive.controller import AdaptiveController
+
             controller = AdaptiveController(
                 node,
                 catalog=db.catalog,

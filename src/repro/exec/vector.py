@@ -68,6 +68,7 @@ from repro.storage.columnar import (
     ColumnBatch,
     batches_from_heap,
     batches_from_rows,
+    mask_count,
 )
 from repro.storage.meter import IOKind
 
@@ -438,7 +439,7 @@ class PredicateRunner:
             if monitor is not None and batch.length:
                 bulk = getattr(monitor, "observe_predicate_batch", None)
                 if bulk is not None:
-                    bulk(self.predicate, batch.length, sum(mask), ())
+                    bulk(self.predicate, batch.length, mask_count(mask), ())
             return mask
         return self.evaluate_bindings(_bindings_from_batch(batch, slots))
 

@@ -21,23 +21,16 @@ statistics. This package makes those failure modes *reproducible*:
 Everything is seeded and deterministic: the same ``(seed, functions)``
 pair always yields the same schedule, so a chaos failure is replayable
 with one command.
+
+:mod:`repro.faults.chaos` is not re-exported here; import it explicitly
+(``from repro.faults.chaos import run_chaos``), as the CLI and the chaos
+suite do.
 """
 
-# NOTE: ``repro.faults.chaos`` (the ``repro chaos`` runner) is *not*
-# imported here: it depends on the executor and optimizer, which depend
-# back on :mod:`repro.faults.clock` via the containment layer. Import it
-# explicitly — ``from repro.faults.chaos import run_chaos`` — at the call
-# site (the CLI and the chaos suite both do).
-from repro.faults.clock import SimulatedClock, backoff_schedule
-from repro.faults.injector import FaultInjector, InjectionStats
-from repro.faults.plan import PROFILES, FaultPlan, FaultSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectionStats",
-    "PROFILES",
-    "SimulatedClock",
-    "backoff_schedule",
-]
+__all__ = lazy_exports(globals(), {
+    "clock": ("SimulatedClock", "backoff_schedule"),
+    "injector": ("FaultInjector", "InjectionStats"),
+    "plan": ("FaultPlan", "FaultSpec", "PROFILES"),
+})

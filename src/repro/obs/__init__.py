@@ -44,200 +44,102 @@ Four small pieces:
   back ``repro postmortem``.
 """
 
-from repro.obs.artifacts import (
-    ARTIFACT_PREFIX,
-    SCHEMA_VERSION,
-    ArtifactRecorder,
-    Finding,
-    artifact_path,
-    build_run_artifact,
-    canonical_plan_form,
-    collect_artifacts,
-    diff_artifacts,
-    has_regressions,
-    load_run_artifact,
-    plan_fingerprint,
-    record_run_artifact,
-)
-from repro.obs.chrome import (
-    build_chrome_trace,
-    export_chrome_trace,
-)
-from repro.obs.export import (
-    PrometheusExport,
-    build_export,
-    export_metrics,
-)
-from repro.obs.feedback import (
-    STATS_PREFIX,
-    STATS_SCHEMA_VERSION,
-    FeedbackCollector,
-    PredicateObservation,
-    StatsFeedbackStore,
-    format_drift_report,
-    format_stats_epoch,
-    predicate_fingerprint,
-    stats_path,
-)
-from repro.obs.flightrec import (
-    DEFAULT_CAPACITY,
-    FLIGHT_PREFIX,
-    FLIGHT_SCHEMA_VERSION,
-    FlightRecorder,
-    build_flight_dump,
-    flight_path,
-    format_postmortem,
-    load_flight_dump,
-    write_flight_dump,
-)
-from repro.obs.histograms import (
-    DEFAULT_QUANTILES,
-    StreamingHistogram,
-)
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    record_run,
-)
-from repro.obs.provenance import (
-    EVENT_KINDS,
-    NULL_LEDGER,
-    Counterfactual,
-    CounterfactualReport,
-    LedgerEvent,
-    NullLedger,
-    ProvenanceLedger,
-    counterfactual_report,
-    skeleton_signature,
-    why_report,
-)
-from repro.obs.profile import (
-    NULL_PHASE,
-    NULL_PROFILER,
-    NullPhase,
-    NullProfiler,
-    PhaseProfiler,
-    PhaseStat,
-)
-from repro.obs.quality import (
-    DRIFT_QERROR_THRESHOLD,
-    DriftFinding,
-    catalog_drift,
-    detect_drift,
-    fmt_stat,
-    qerror,
-    qerror_histogram,
-    quality_summary,
-    signed_relative_error,
-)
-from repro.obs.runtime_telemetry import (
-    OperatorProgress,
-    PredicateTelemetry,
-    QueryResourceReport,
-    RuntimeMonitor,
-    format_top,
-)
-from repro.obs.tables import (
-    Column,
-    Table,
-    auto_table,
-    fmt_cell,
-)
-from repro.obs.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    NullSpan,
-    NullTracer,
-    Span,
-    Tracer,
-    canonical_value,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARTIFACT_PREFIX",
-    "ArtifactRecorder",
-    "Column",
-    "Counter",
-    "Counterfactual",
-    "CounterfactualReport",
-    "DEFAULT_CAPACITY",
-    "DEFAULT_QUANTILES",
-    "DRIFT_QERROR_THRESHOLD",
-    "DriftFinding",
-    "EVENT_KINDS",
-    "FLIGHT_PREFIX",
-    "FLIGHT_SCHEMA_VERSION",
-    "FeedbackCollector",
-    "Finding",
-    "FlightRecorder",
-    "Histogram",
-    "LedgerEvent",
-    "MetricsRegistry",
-    "NULL_LEDGER",
-    "NULL_PHASE",
-    "NULL_PROFILER",
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "NullLedger",
-    "NullPhase",
-    "NullProfiler",
-    "NullSpan",
-    "NullTracer",
-    "OperatorProgress",
-    "PhaseProfiler",
-    "PhaseStat",
-    "PredicateObservation",
-    "PredicateTelemetry",
-    "PrometheusExport",
-    "ProvenanceLedger",
-    "QueryResourceReport",
-    "RuntimeMonitor",
-    "SCHEMA_VERSION",
-    "STATS_PREFIX",
-    "STATS_SCHEMA_VERSION",
-    "Span",
-    "StatsFeedbackStore",
-    "StreamingHistogram",
-    "Table",
-    "Timer",
-    "Tracer",
-    "artifact_path",
-    "auto_table",
-    "build_chrome_trace",
-    "build_export",
-    "build_flight_dump",
-    "build_run_artifact",
-    "canonical_plan_form",
-    "canonical_value",
-    "catalog_drift",
-    "collect_artifacts",
-    "counterfactual_report",
-    "detect_drift",
-    "diff_artifacts",
-    "export_chrome_trace",
-    "export_metrics",
-    "flight_path",
-    "fmt_cell",
-    "fmt_stat",
-    "format_drift_report",
-    "format_postmortem",
-    "format_stats_epoch",
-    "format_top",
-    "has_regressions",
-    "load_flight_dump",
-    "load_run_artifact",
-    "plan_fingerprint",
-    "predicate_fingerprint",
-    "qerror",
-    "qerror_histogram",
-    "quality_summary",
-    "record_run",
-    "record_run_artifact",
-    "signed_relative_error",
-    "skeleton_signature",
-    "stats_path",
-    "why_report",
-    "write_flight_dump",
-]
+__all__ = lazy_exports(globals(), {
+    "artifacts": (
+        "ARTIFACT_PREFIX",
+        "ArtifactRecorder",
+        "Finding",
+        "SCHEMA_VERSION",
+        "artifact_path",
+        "build_run_artifact",
+        "canonical_plan_form",
+        "collect_artifacts",
+        "diff_artifacts",
+        "has_regressions",
+        "load_run_artifact",
+        "plan_fingerprint",
+        "record_run_artifact",
+    ),
+    "chrome": ("build_chrome_trace", "export_chrome_trace"),
+    "export": ("PrometheusExport", "build_export", "export_metrics"),
+    "feedback": (
+        "FeedbackCollector",
+        "PredicateObservation",
+        "STATS_PREFIX",
+        "STATS_SCHEMA_VERSION",
+        "StatsFeedbackStore",
+        "format_drift_report",
+        "format_stats_epoch",
+        "predicate_fingerprint",
+        "stats_path",
+    ),
+    "flightrec": (
+        "DEFAULT_CAPACITY",
+        "FLIGHT_PREFIX",
+        "FLIGHT_SCHEMA_VERSION",
+        "FlightRecorder",
+        "build_flight_dump",
+        "flight_path",
+        "format_postmortem",
+        "load_flight_dump",
+        "write_flight_dump",
+    ),
+    "histograms": ("DEFAULT_QUANTILES", "StreamingHistogram"),
+    "metrics": (
+        "Counter",
+        "Histogram",
+        "MetricsRegistry",
+        "Timer",
+        "record_run",
+    ),
+    "provenance": (
+        "Counterfactual",
+        "CounterfactualReport",
+        "EVENT_KINDS",
+        "LedgerEvent",
+        "NULL_LEDGER",
+        "NullLedger",
+        "ProvenanceLedger",
+        "counterfactual_report",
+        "skeleton_signature",
+        "why_report",
+    ),
+    "profile": (
+        "NULL_PHASE",
+        "NULL_PROFILER",
+        "NullPhase",
+        "NullProfiler",
+        "PhaseProfiler",
+        "PhaseStat",
+    ),
+    "quality": (
+        "DRIFT_QERROR_THRESHOLD",
+        "DriftFinding",
+        "catalog_drift",
+        "detect_drift",
+        "fmt_stat",
+        "qerror",
+        "qerror_histogram",
+        "quality_summary",
+        "signed_relative_error",
+    ),
+    "runtime_telemetry": (
+        "OperatorProgress",
+        "PredicateTelemetry",
+        "QueryResourceReport",
+        "RuntimeMonitor",
+        "format_top",
+    ),
+    "tables": ("Column", "Table", "auto_table", "fmt_cell"),
+    "tracer": (
+        "NULL_SPAN",
+        "NULL_TRACER",
+        "NullSpan",
+        "NullTracer",
+        "Span",
+        "Tracer",
+        "canonical_value",
+    ),
+})

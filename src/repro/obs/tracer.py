@@ -24,7 +24,6 @@ deterministic up to wall-clock jitter and never leak absolute times.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Iterator
 
@@ -236,6 +235,8 @@ class Tracer(NullTracer):
 
     def export_jsonl(self, path: str) -> int:
         """Write one JSON object per span; returns the span count."""
+        import json  # only an exporting run needs it
+
         records = self.to_records()
         with open(path, "w", encoding="utf-8") as handle:
             for record in records:

@@ -15,10 +15,6 @@ ever see surviving elements — which is what lets batch predicate
 evaluation charge each expensive-UDF call only for selection-vector
 survivors.
 
-An *optional* numpy fast path accelerates mask counting when numpy
-happens to be installed; everything works identically (and is tested)
-without it.
-
 The batch reader (:func:`batches_from_heap`) sits on the existing
 :meth:`~repro.storage.heap.HeapFile.scan_pages`, so sequential I/O is
 charged per heap page through the buffer pool exactly as the row
@@ -32,11 +28,6 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from repro.expr.expressions import Scope
-
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except ImportError:  # pragma: no cover - the stdlib-only default
-    _np = None
 
 #: Default number of rows per batch. Large enough to amortise per-batch
 #: bookkeeping, small enough to keep intermediate gathers cache-friendly.
@@ -57,9 +48,7 @@ def _pack_column(values: list) -> "array | list":
 
 def mask_count(mask: bytearray) -> int:
     """Number of set positions in a selection mask."""
-    if _np is not None and len(mask) >= 512:
-        return int(_np.frombuffer(mask, dtype=_np.uint8).sum())
-    return sum(mask)
+    return mask.count(1)
 
 
 class ColumnBatch:

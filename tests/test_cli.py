@@ -1,10 +1,12 @@
 """Tests for the command-line driver (python -m repro)."""
 
+import importlib
 import json
 
 import pytest
 
-from repro.__main__ import build_parser, main
+import repro
+from repro.__main__ import BENCH_VERBS, VERBS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -508,3 +510,46 @@ class TestPostmortem:
         )
         assert code == 0
         assert "timeline (last 2" in out
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "argv", [["chaoss", "q1"], ["bench"], ["bench", "bogus"], ["q1"]]
+    )
+    def test_unknown_command_exits_2_naming_the_verbs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unknown command {argv[0]!r}" in err
+        assert "--sql --workload is required" not in err
+        for verb in VERBS:
+            assert verb in err
+
+    def test_every_verb_names_a_module_with_a_parser_and_a_main(self):
+        for verb, name in VERBS.items():
+            module = importlib.import_module(name)
+            assert module.build_parser().prog == f"repro {verb}"
+            assert callable(module.main)
+        assert set(BENCH_VERBS.values()) <= set(VERBS)
+
+    def test_help_lists_the_verbs(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(sorted(VERBS)) in out
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--version"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.split() == ["repro", repro.__version__]
+
+    def test_verb_handlers_stay_importable_from_main(self):
+        from repro.__main__ import bench_diff, plan_diff
+        from repro.cli import bench_diff as bench_diff_module
+
+        assert bench_diff is bench_diff_module.main
+        assert callable(plan_diff)
+        with pytest.raises(ImportError):
+            from repro.__main__ import no_such_verb  # noqa: F401
