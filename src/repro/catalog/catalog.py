@@ -9,8 +9,8 @@ storage imports (the database assembly in :mod:`repro.database` wires them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from collections.abc import MutableMapping
+from typing import Any, Iterator, Protocol, Sequence
 
 from repro.catalog.functions import FunctionRegistry
 from repro.catalog.schema import RelationSchema
@@ -22,14 +22,117 @@ from repro.errors import (
 )
 
 
-@dataclass
-class TableEntry:
-    """Everything the system knows about one base relation."""
+class TableSource(Protocol):
+    """Where a registered table's storage comes from when it is first
+    read (:mod:`repro.catalog.datagen` supplies the synthetic one)."""
 
-    schema: RelationSchema
-    stats: RelationStats
-    heap: Any = None
-    indexes: dict[str, Any] = field(default_factory=dict)
+    #: Attributes that carry an index, in schema order.
+    index_names: Sequence[str]
+
+    def load_heap(self) -> Any:
+        """Build the populated heap file."""
+
+    def load_index(self, heap: Any, attribute: str) -> Any:
+        """Build the index on ``attribute`` over ``heap``'s rows."""
+
+    def index_pages(self, attribute: str) -> int:
+        """Pages the index on ``attribute`` occupies once built."""
+
+
+_UNBUILT = object()
+
+
+class TableIndexes(MutableMapping):
+    """A table's ``attribute → index`` mapping, in schema order.
+
+    Indexes named by the table's source exist from registration — they
+    count in ``len``, iteration and ``in`` — but each is built on the
+    first ``[attribute]`` read. ``values()`` and ``items()`` therefore
+    build every one; :meth:`pages` and :meth:`built` do not.
+    """
+
+    def __init__(self, entry: "TableEntry", built: dict[str, Any]) -> None:
+        self._entry = entry
+        source = entry.source
+        self._slots: dict[str, Any] = dict.fromkeys(
+            source.index_names if source is not None else (), _UNBUILT
+        )
+        self._slots.update(built)
+
+    def __getitem__(self, attribute: str) -> Any:
+        index = self._slots[attribute]
+        if index is _UNBUILT:
+            entry = self._entry
+            index = self._slots[attribute] = entry.source.load_index(
+                entry.heap, attribute
+            )
+        return index
+
+    def __setitem__(self, attribute: str, index: Any) -> None:
+        self._slots[attribute] = index
+
+    def __delitem__(self, attribute: str) -> None:
+        del self._slots[attribute]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __contains__(self, attribute: object) -> bool:
+        return attribute in self._slots
+
+    def built(self) -> list[str]:
+        """The attributes whose index exists in memory."""
+        return [
+            attribute
+            for attribute, index in self._slots.items()
+            if index is not _UNBUILT
+        ]
+
+    def pages(self, attribute: str) -> int:
+        """The index's page count, declared when it is not built yet."""
+        index = self._slots[attribute]
+        if index is _UNBUILT:
+            return self._entry.source.index_pages(attribute)
+        return index.pages
+
+
+class TableEntry:
+    """Everything the system knows about one base relation.
+
+    Storage is handed over built (``heap=``, ``indexes=``: manual
+    registration) or named by a ``source`` and realised on the first read
+    of :attr:`heap` / ``indexes[attribute]``. Schema, statistics and index
+    *names* never need the storage.
+    """
+
+    def __init__(
+        self,
+        schema: RelationSchema,
+        stats: RelationStats,
+        heap: Any = None,
+        indexes: dict[str, Any] | None = None,
+        source: TableSource | None = None,
+    ) -> None:
+        self.schema = schema
+        self.stats = stats
+        self.source = source
+        self._heap = heap
+        self.indexes = TableIndexes(self, indexes or {})
+
+    @property
+    def heap(self) -> Any:
+        if self._heap is None and self.source is not None:
+            self._heap = self.source.load_heap()
+        return self._heap
+
+    @property
+    def heap_built(self) -> bool:
+        """Whether the heap exists in memory (reading :attr:`heap` to
+        find out would build it)."""
+        return self._heap is not None
 
     @property
     def name(self) -> str:
@@ -47,10 +150,9 @@ class TableEntry:
         return attribute in self.indexes
 
     def index(self, attribute: str) -> Any:
-        try:
-            return self.indexes[attribute]
-        except KeyError:
-            raise UnknownAttributeError(self.name, attribute) from None
+        if attribute not in self.indexes:
+            raise UnknownAttributeError(self.name, attribute)
+        return self.indexes[attribute]
 
 
 class Catalog:
@@ -150,13 +252,14 @@ class Catalog:
                     changed += 1
         return changed
 
-    def total_bytes(self, include_indexes: bool = True) -> int:
-        """Approximate database size, mirroring the paper's ~110 MB figure."""
-        total = 0
+    def total_bytes(self, page_size: int, include_indexes: bool = True) -> int:
+        """Approximate database size, mirroring the paper's ~110 MB figure.
+
+        Read from declared page counts, so it builds no storage.
+        """
+        pages = 0
         for entry in self:
-            page_size = getattr(entry.heap, "page_size", 8192)
-            total += entry.pages * page_size
+            pages += entry.pages
             if include_indexes:
-                for index in entry.indexes.values():
-                    total += getattr(index, "pages", 0) * page_size
-        return total
+                pages += sum(map(entry.indexes.pages, entry.indexes))
+        return pages * page_size

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import random
 import re
+from time import perf_counter
 
 from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import RelationSchema
 from repro.catalog.statistics import declared_stats
 from repro.cost.params import CostParams
-from repro.database import Database
+from repro.database import Database, Materialisation
 from repro.errors import CatalogError
-from repro.storage.btree import BTree
+from repro.storage.btree import BTree, default_fanout
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 from repro.storage.meter import CostMeter
@@ -55,48 +56,107 @@ def relation_cardinality(name: str, scale: int) -> int:
 def generate_column(
     cardinality: int, repetition: int, rng: random.Random
 ) -> list[int]:
-    """A shuffled column where each value repeats ~``repetition`` times."""
-    ndistinct = max(1, cardinality // repetition)
-    values = [min(i // repetition, ndistinct - 1) for i in range(cardinality)]
-    rng.shuffle(values)
+    """A shuffled column where each value repeats ~``repetition`` times.
+
+    Draws from ``rng`` exactly as ``random.Random.shuffle`` over the sorted
+    run would (Fisher–Yates from the top, ``getrandbits`` of the bound's bit
+    length, redrawn while out of range) with the draw inlined and the bit
+    length recomputed only when the bound crosses a power of two —
+    ``tests/test_datagen_equivalence.py`` holds it to the same values and
+    the same final generator state.
+    """
+    whole = cardinality // repetition
+    values = [value for value in range(whole) for _ in range(repetition)]
+    # The remainder repeats the last value (value 0 when there is none).
+    values += [max(whole, 1) - 1] * (cardinality - len(values))
+    getrandbits = rng.getrandbits
+    i = cardinality - 1
+    while i > 0:
+        bits = (i + 1).bit_length()
+        # Every bound in (2**(bits-1), i + 1] has this bit length.
+        lowest = max(1, (1 << (bits - 1)) - 1)
+        for i in range(i, lowest - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            values[i], values[j] = values[j], values[i]
+        i = lowest - 1
     return values
+
+
+class GeneratedTable:
+    """One synthetic relation's storage, built when first read.
+
+    The rows are a pure function of ``(db.seed, name)``: each table draws
+    from its own ``random.Random(f"{seed}/{name}")``, so which tables were
+    read before, and in what order, changes nothing. Building charges no
+    I/O and touches no buffer-pool state (bulk population models the
+    pre-existing database, not query work); each build is recorded in
+    ``db.materialised``.
+    """
+
+    def __init__(
+        self, db: Database, schema: RelationSchema, cardinality: int
+    ) -> None:
+        self.db = db
+        self.schema = schema
+        self.cardinality = cardinality
+        self.index_names = schema.indexed_attributes
+        self._rids: list = []
+
+    def load_heap(self) -> HeapFile:
+        started = perf_counter()
+        db, schema = self.db, self.schema
+        rng = random.Random(f"{db.seed}/{schema.name}")
+        data = [
+            generate_column(self.cardinality, attribute.repetition, rng)
+            for attribute in schema.attributes
+        ]
+        heap = HeapFile(
+            schema.name, schema.tuple_width, db.pool,
+            page_size=db.params.page_size,
+        )
+        # One RID list shared by all of the table's indexes.
+        self._rids = heap.bulk_load(zip(*data))
+        self._record(schema.name, started)
+        return heap
+
+    def load_index(self, heap: HeapFile, attribute: str) -> BTree:
+        started = perf_counter()
+        position = self.schema.position(attribute)
+        index = BTree(
+            f"{self.schema.name}_{attribute}", self.db.pool,
+            page_size=self.db.params.page_size,
+        )
+        index.bulk_load(
+            [(row[position], rid)
+             for row, rid in zip(heap.all_rows(), self._rids)]
+        )
+        self._record(f"{self.schema.name}.{attribute}", started)
+        return index
+
+    def index_pages(self, attribute: str) -> int:
+        return BTree.pages_for(
+            self.cardinality, default_fanout(self.db.params.page_size)
+        )
+
+    def _record(self, name: str, started: float) -> None:
+        self.db.materialised.append(Materialisation(
+            name, self.cardinality, (perf_counter() - started) * 1e3
+        ))
 
 
 def build_table(
     db: Database, name: str, cardinality: int, columns=DEFAULT_COLUMNS
 ) -> TableEntry:
-    """Generate, load, and index one relation into ``db``."""
+    """Register one relation in ``db``; its rows and B-trees are generated
+    when first read (:class:`GeneratedTable`)."""
     schema = RelationSchema.from_names(name, list(columns))
-    rng = random.Random(f"{db.seed}/{name}")
-    data = [
-        generate_column(cardinality, attribute.repetition, rng)
-        for attribute in schema.attributes
-    ]
-    rows = list(zip(*data)) if data and cardinality else []
-
-    heap = HeapFile(
-        name, schema.tuple_width, db.pool, page_size=db.params.page_size
-    )
-    rids = [heap.insert(row) for row in rows]
-
-    entry = TableEntry(
+    return db.catalog.register_table(TableEntry(
         schema=schema,
         stats=declared_stats(schema, cardinality, db.params.page_size),
-        heap=heap,
-    )
-    for position, attribute in enumerate(schema.attributes):
-        if attribute.indexed:
-            index = BTree(
-                f"{name}_{attribute.name}",
-                db.pool,
-                page_size=db.params.page_size,
-            )
-            index.bulk_load(
-                [(row[position], rid) for row, rid in zip(rows, rids)]
-            )
-            entry.indexes[attribute.name] = index
-    db.catalog.register_table(entry)
-    return entry
+        source=GeneratedTable(db, schema, cardinality),
+    ))
 
 
 def register_standard_functions(
@@ -118,16 +178,21 @@ def build_database(
     pool_pages: int | None = None,
     register_functions: bool = True,
 ) -> Database:
-    """Build the full synthetic database.
+    """Register the full synthetic database.
 
-    ``pool_pages=None`` sizes the buffer pool at a quarter of the heap
-    pages (min 64), roughly mirroring the paper's 32 MB of main memory
-    against a 110 MB database.
+    Costs O(tables): every relation gets its schema, declared statistics
+    and index names — all the optimizer reads — while rows and B-trees
+    are generated by the first query that reads them
+    (:class:`GeneratedTable`).
+
+    ``pool_pages=None`` sizes the buffer pool at a quarter of the declared
+    heap pages (min 64), roughly mirroring the paper's 32 MB of main
+    memory against a 110 MB database.
     """
     params = params or CostParams()
     meter = CostMeter(seq_weight=params.seq_weight)
     # The pool is created with a placeholder capacity and resized below,
-    # once the data volume is known.
+    # once the declared data volume is known.
     pool = BufferPool(1, meter)
     db = Database(
         catalog=Catalog(),
@@ -146,12 +211,10 @@ def build_database(
     )
     if register_functions:
         register_standard_functions(db, seed=seed)
-    meter.reset()
-    pool.clear()
-    pool.reset_stats()
     return db
 
 
 def paper_scale_database(seed: int = 42) -> Database:
-    """The database at the paper's published scale (~110 MB; slow to build)."""
+    """The database at the paper's published scale (~110 MB once every
+    table and index has been read; a query pays only for what it reads)."""
     return build_database(scale=PAPER_SCALE, seed=seed)

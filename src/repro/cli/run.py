@@ -252,6 +252,15 @@ def _print_stats(registry, out) -> None:
             print(f"{name} = {value}", file=out)
 
 
+def _print_materialised(db, out) -> None:
+    """What this run generated on first read (wall-clock that a run on an
+    already-read database would not spend)."""
+    built = ", ".join(
+        f"{m.name} ({m.rows:,} rows, {m.ms:.1f} ms)" for m in db.materialised
+    )
+    print(f"-- materialised: {built or 'nothing'}", file=out)
+
+
 def _write_flight(
     directory: str,
     flight,
@@ -488,6 +497,8 @@ def _run(args, tracer, out, profiler=NULL_PROFILER, flight=None) -> int:
         )
         if code:
             return code
+    if args.explain_analyze or registry is not None:
+        _print_materialised(db, out)
     if args.explain_analyze:
         model = CostModel(db.catalog, db.params, caching=args.caching)
         print(

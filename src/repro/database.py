@@ -14,6 +14,15 @@ from repro.storage.buffer import BufferPool
 from repro.storage.meter import CostMeter
 
 
+@dataclass(frozen=True)
+class Materialisation:
+    """One table (``t3``) or index (``t3.a1``) realised on first read."""
+
+    name: str
+    rows: int
+    ms: float
+
+
 @dataclass
 class Database:
     """One self-contained database instance."""
@@ -26,6 +35,11 @@ class Database:
     seed: int = 0
     description: str = ""
     extras: dict = field(default_factory=dict)
+    #: Storage realised so far, in the order it was first read; see
+    #: :func:`repro.catalog.datagen.build_database`.
+    materialised: list[Materialisation] = field(
+        default_factory=list, repr=False
+    )
 
     @classmethod
     def empty(
@@ -42,7 +56,7 @@ class Database:
         )
 
     def size_bytes(self) -> int:
-        return self.catalog.total_bytes()
+        return self.catalog.total_bytes(self.params.page_size)
 
     def size_megabytes(self) -> float:
         return self.size_bytes() / (1024 * 1024)

@@ -21,6 +21,8 @@ __all__ = lazy_exports(globals(), {
         "QuarantineReport",
     ),
     "operators": ("OperatorStats",),
-    "runtime": ("EXECUTORS", "Executor", "QueryResult"),
+    "runtime": (
+        "EXECUTORS", "Executor", "QueryResult", "materialise_plan",
+    ),
     "vector": ("VectorPlanRunner",),
 })

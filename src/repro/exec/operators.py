@@ -373,6 +373,7 @@ class IndexScanOp(Operator):
         if not entry.has_index(attribute):
             raise ExecutionError(f"no index on {table}.{attribute}")
         self.entry = entry
+        self.heap = entry.heap
         self.index = entry.index(attribute)
         self.low = low
         self.high = high
@@ -382,8 +383,9 @@ class IndexScanOp(Operator):
         )
 
     def __iter__(self) -> Iterator[tuple]:
+        fetch_rid = self.heap.fetch_rid
         for rid in self.index.range_search(self.low, self.high):
-            yield self.entry.heap.fetch_rid(rid)
+            yield fetch_rid(rid)
 
 
 class NestedLoopJoinOp(Operator):
@@ -453,6 +455,7 @@ class IndexNestedLoopJoinOp(Operator):
         self.outer = outer
         self.ctx = ctx
         self.entry = entry
+        self.heap = entry.heap
         self.index = entry.index(inner_column.attribute)
         self.inner_filters = inner_scan.filters
         self.inner_scope = Scope(
@@ -465,11 +468,12 @@ class IndexNestedLoopJoinOp(Operator):
 
     def __iter__(self) -> Iterator[tuple]:
         cpu = self.ctx.params.cpu_per_tuple
+        fetch_rid = self.heap.fetch_rid
         for outer_row in self.outer:
             self.ctx.meter.charge_cpu(cpu)
             key = outer_row[self.outer_slot]
             for rid in self.index.search(key):
-                inner_row = self.entry.heap.fetch_rid(rid)
+                inner_row = fetch_rid(rid)
                 if all(
                     evaluate_predicate(
                         predicate, inner_row, self.inner_scope, self.ctx

@@ -23,6 +23,11 @@ from repro.storage.page import DEFAULT_PAGE_SIZE, RID
 ENTRY_WIDTH = 16
 
 
+def default_fanout(page_size: int) -> int:
+    """Entries per node when a tree is not given an explicit fanout."""
+    return max(4, page_size // ENTRY_WIDTH)
+
+
 class _Node:
     """Base class for B-tree nodes; ``page_no`` keys the buffer pool."""
 
@@ -74,7 +79,7 @@ class BTree:
         self.pool = pool
         self.page_size = page_size
         self.file_id = pool.register_file()
-        self.fanout = fanout or max(4, page_size // ENTRY_WIDTH)
+        self.fanout = fanout or default_fanout(page_size)
         self._next_page = 0
         self._root: _Node = self._new_leaf()
         self._entries = 0
@@ -113,6 +118,17 @@ class BTree:
             height += 1
             node = node.children[0]
         return height
+
+    @staticmethod
+    def pages_for(entries: int, fanout: int) -> int:
+        """Pages :meth:`bulk_load` allocates for ``entries`` pairs: leaves
+        packed full, then one level per even split until a single root."""
+        level = max(1, -(-entries // fanout))  # an empty tree is one leaf
+        pages = level
+        while level > 1:
+            level = -(-level // fanout)
+            pages += level
+        return pages
 
     # -- bulk load -----------------------------------------------------------
 

@@ -8,7 +8,7 @@ rate, matching the paper's "unclustered tuples" costing.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.storage.buffer import BufferPool
 from repro.storage.meter import IOKind
@@ -46,9 +46,24 @@ class HeapFile:
         self._cardinality += 1
         return (page.page_no, slot)
 
-    def bulk_load(self, rows: Iterator[tuple]) -> None:
-        for row in rows:
-            self.insert(row)
+    def bulk_load(self, rows: Iterable[tuple]) -> list[RID]:
+        """Append ``rows`` a page-sized slice at a time and return their
+        RIDs in order: what ``insert`` per row does, without the per-row
+        calls. Every page but the last is full, so tuple *i* of the file
+        sits at ``divmod(i, capacity)``."""
+        rows = list(rows)
+        capacity = self._capacity
+        pages = self._pages
+        first = self._cardinality
+        top_up = -first % capacity  # room left on a partly filled last page
+        if top_up:
+            pages[-1].rows.extend(rows[:top_up])
+        for start in range(top_up, len(rows), capacity):
+            pages.append(
+                Page(len(pages), capacity, rows[start : start + capacity])
+            )
+        self._cardinality = first + len(rows)
+        return [divmod(i, capacity) for i in range(first, self._cardinality)]
 
     # -- access ----------------------------------------------------------
 

@@ -17,8 +17,9 @@ class TestDatabase:
         assert Database.empty().size_bytes() == 0
 
     def test_size_counts_heap_and_indexes(self, db):
-        with_indexes = db.catalog.total_bytes(include_indexes=True)
-        without = db.catalog.total_bytes(include_indexes=False)
+        page_size = db.params.page_size
+        with_indexes = db.catalog.total_bytes(page_size, include_indexes=True)
+        without = db.catalog.total_bytes(page_size, include_indexes=False)
         assert with_indexes > without > 0
         assert db.size_megabytes() == pytest.approx(
             with_indexes / (1024 * 1024)

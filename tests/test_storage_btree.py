@@ -16,6 +16,18 @@ def make_tree(fanout=4, pool_pages=10_000):
     return BTree("idx", pool, fanout=fanout), meter
 
 
+class TestPagesFor:
+    """The closed form the catalog sizes unbuilt indexes with."""
+
+    @pytest.mark.parametrize("fanout", [4, 7, 512])
+    def test_equals_the_built_tree(self, fanout):
+        sizes = {0, 1, fanout - 1, fanout, fanout + 1, fanout ** 2, 100_000}
+        for entries in sorted(sizes):
+            tree, _ = make_tree(fanout=fanout)
+            tree.bulk_load([(i, (i, 0)) for i in range(entries)])
+            assert BTree.pages_for(entries, fanout) == tree.pages, entries
+
+
 class TestBulkLoad:
     def test_search_unique_keys(self):
         tree, _ = make_tree()

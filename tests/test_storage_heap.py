@@ -1,5 +1,7 @@
 """Unit tests: heap files."""
 
+import pytest
+
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 from repro.storage.meter import CostMeter
@@ -71,3 +73,22 @@ class TestHeapFile:
         heap = HeapFile("t", 100, pool)
         heap.bulk_load(iter([(i,) for i in range(5)]))
         assert heap.cardinality == 5
+
+    @pytest.mark.parametrize("already", [0, 1, 7, 8, 9])
+    @pytest.mark.parametrize("loaded", [0, 1, 7, 8, 9, 100])
+    def test_bulk_load_is_insert_per_row(self, already, loaded):
+        """Same pages, same RIDs as one ``insert`` per row — also when the
+        last page is partly filled (8 tuples fit a page here)."""
+        rows = [(i,) for i in range(already + loaded)]
+        pool = BufferPool(10, CostMeter())
+        one_by_one = HeapFile("t", 100, pool, page_size=800)
+        expected = [one_by_one.insert(row) for row in rows]
+        sliced = HeapFile("t", 100, pool, page_size=800)
+        rids = [sliced.insert(row) for row in rows[:already]]
+        rids += sliced.bulk_load(rows[already:])
+        assert rids == expected
+        assert sliced.cardinality == one_by_one.cardinality
+        assert [page.rows for page in sliced.scan_pages()] == [
+            page.rows for page in one_by_one.scan_pages()
+        ]
+        assert [sliced.fetch_rid(rid) for rid in rids] == rows
