@@ -1,7 +1,12 @@
 """Physical operators: the executor half of each cost-model formula.
 
-Each operator is an iterable over composite rows with a :class:`Scope`.
-Charging rules mirror :mod:`repro.cost.model` exactly:
+An operator is an iterable of chunks with a :class:`Scope` — the one
+protocol of ``exec/``. A chunk is a composite row on the row engine (this
+module) and a :class:`~repro.storage.columnar.ColumnBatch` on the vector
+engine (:mod:`repro.exec.vector`); an :class:`Engine` names the operators
+one engine compiles plan nodes into, and :func:`build_operator` is the
+single plan compiler both share. Charging rules mirror
+:mod:`repro.cost.model` exactly:
 
 * sequential scans charge one sequential I/O per heap page (via the pool);
 * index probes charge one random I/O per touched B-tree node and one per
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.catalog.catalog import Catalog
 from repro.cost.params import CostParams
@@ -27,6 +32,7 @@ from repro.exec.cache import PredicateCache
 from repro.exec.containment import ContainmentState
 from repro.expr.expressions import Scope
 from repro.expr.predicates import BoolBranch, BoolLeaf, Predicate
+from repro.obs.histograms import StreamingHistogram
 from repro.plan.display import _node_label
 from repro.plan.nodes import Join, JoinMethod, PlanNode, Scan
 from repro.storage.meter import CostMeter, IOKind
@@ -72,6 +78,56 @@ class OperatorStats:
         }
 
 
+class BatchNodeStats:
+    """Batch-granular actuals for one plan node under the vector engine.
+
+    The batch-level companion of :class:`OperatorStats` — it never
+    replaces the row-path totals (those stay byte-identical to the row
+    engine); it *adds* what only exists under batching: how many batches
+    flowed, their size distribution, and how the selection vector decayed
+    through the node's filter chain.
+    """
+
+    __slots__ = ("batches", "rows_in", "rows_out", "predicates")
+
+    def __init__(self) -> None:
+        #: Batches the node emitted (empty post-filter batches are
+        #: dropped, so this can be lower than the input batch count,
+        #: which is ``rows_in.count``).
+        self.batches = 0
+        #: Per-batch rows entering the node's filter chain.
+        self.rows_in = StreamingHistogram()
+        #: Per-batch rows the node emitted.
+        self.rows_out = StreamingHistogram()
+        #: Chain-ordered per-predicate stats
+        #: (:class:`repro.exec.vector.BatchPredicateStats`; empty for
+        #: filterless nodes).
+        self.predicates: list = []
+
+    @property
+    def chain_rows(self) -> int:
+        """Total rows that entered the filter chain."""
+        return int(self.rows_in.finite_sum)
+
+    def as_dict(self) -> dict:
+        return {
+            "batches": self.batches,
+            "rows_in": self.rows_in.as_dict(),
+            "rows_out": self.rows_out.as_dict(),
+            "predicates": [p.as_dict() for p in self.predicates],
+        }
+
+
+def batch_node_stats(ctx: RuntimeContext, node: PlanNode) -> BatchNodeStats:
+    """Get-or-create the batch stats slot for ``node`` (the vector
+    engine's filter chain and the instrument wrapper both write into the
+    same slot)."""
+    stats = ctx.batch_stats.get(id(node))
+    if stats is None:
+        stats = ctx.batch_stats[id(node)] = BatchNodeStats()
+    return stats
+
+
 @dataclass
 class RuntimeContext:
     """Everything operators need at run time."""
@@ -97,37 +153,40 @@ class RuntimeContext:
     #: policy's on-exhaustion action, with quarantine bookkeeping.
     containment: ContainmentState | None = None
     #: When not ``None``, every predicate evaluation reports its verdict
-    #: and the function cost it charged to this sink (duck-typed:
-    #: ``observe(predicate, passed, charged)`` — normally a
-    #: :class:`repro.obs.feedback.FeedbackCollector`). ``None`` keeps the
-    #: hot path free of any feedback branch, like the other optional
-    #: sinks above.
+    #: and the function cost it charged to this sink: a
+    #: :class:`repro.obs.feedback.FeedbackCollector` (``observe`` per
+    #: evaluation on the row engine, ``observe_batch`` per batch on the
+    #: vector engine) or, on adaptive runs — row engine only — the
+    #: :class:`repro.adaptive.controller.AdaptiveController` tee-ing to
+    #: one. ``None`` keeps the hot path free of any feedback branch,
+    #: like the other optional sinks above.
     collector: object | None = None
-    #: When not ``None``, live telemetry: :func:`build_operator` wraps
-    #: every node in a :class:`MonitoredOperator` reporting per-pull
-    #: progress, and ``evaluate_predicate`` reports each verdict via
-    #: ``monitor.observe_predicate`` (duck-typed: normally a
-    #: :class:`repro.obs.runtime_telemetry.RuntimeMonitor`). Same
+    #: When not ``None``, live telemetry: a
+    #: :class:`repro.obs.runtime_telemetry.RuntimeMonitor`.
+    #: :func:`build_operator` wraps every node in a
+    #: :class:`MonitoredOperator` reporting per-pull progress
+    #: (``on_rows``/``on_done``), predicate evaluation reports verdicts
+    #: (``observe_predicate`` per row, ``observe_predicate_batch`` per
+    #: batch), and the vector engine's filter chains report
+    #: selection-vector density (``on_filter_batch``). Same
     #: zero-overhead-when-off contract as ``collector``.
     monitor: object | None = None
     #: When not ``None``, the vector executor additionally collects
     #: batch-granular actuals (batches, per-batch row histograms,
     #: selection-vector density per predicate, kernel self-time, cache
     #: hit rates) here, keyed by ``id(plan_node)`` — the batch-level
-    #: companion of ``node_stats``. Values are
-    #: :class:`repro.exec.vector.BatchNodeStats`. The row path ignores
-    #: this field entirely; ``None`` keeps the batch hot loops free of
-    #: any stats branch.
-    batch_stats: dict[int, object] | None = None
-    #: When not ``None``, an execution flight recorder (duck-typed:
-    #: normally a :class:`repro.obs.flightrec.FlightRecorder`) receiving
-    #: bounded batch/milestone events so a crash dump can show what the
-    #: engine was doing in its final moments. Same
-    #: zero-overhead-when-off contract as the other optional sinks.
+    #: companion of ``node_stats``. Values are :class:`BatchNodeStats`.
+    #: The row path ignores this field entirely; ``None`` keeps the
+    #: batch hot loops free of any stats branch.
+    batch_stats: dict[int, BatchNodeStats] | None = None
+    #: When not ``None``, the execution flight recorder — a
+    #: :class:`repro.obs.flightrec.FlightRecorder` — receiving bounded
+    #: batch/milestone events so a crash dump can show what the engine
+    #: was doing in its final moments. Same zero-overhead-when-off
+    #: contract as the other optional sinks.
     flight: object | None = None
-    #: When not ``None``, the adaptive mid-query re-optimization feed
-    #: (duck-typed: normally a
-    #: :class:`repro.adaptive.controller.AdaptiveController`). The build
+    #: When not ``None``, the adaptive mid-query re-optimization feed: a
+    #: :class:`repro.adaptive.controller.AdaptiveController`. The build
     #: wraps the spine leaf's raw source in a :class:`LeafFeedOperator`
     #: (``feed.on_leaf_row`` fires at the safe splice boundary, *before*
     #: the row enters any filter) and taps the nodes in ``feed.tap_ids``
@@ -315,11 +374,12 @@ def _evaluate_tree(
 
 
 class Operator:
-    """Base class: an iterable of composite rows with a fixed scope."""
+    """Base class: an iterable of chunks with a fixed scope — composite
+    rows on the row engine, column batches on the vector engine."""
 
     scope: Scope
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator:
         raise NotImplementedError
 
 
@@ -411,17 +471,19 @@ class NestedLoopJoinOp(Operator):
         else:
             self.inner_base_pages = None  # computed after materialisation
 
+    def rescan_pages(self, inner_count: int) -> int:
+        """Pages one outer tuple's rescan of the inner charges."""
+        if self.inner_base_pages is not None:
+            return self.inner_base_pages
+        width = _scope_width(self.inner.scope, self.ctx.catalog)
+        return int(self.ctx.params.pages_for(inner_count, width))
+
     def __iter__(self) -> Iterator[tuple]:
         meter = self.ctx.meter
         cpu = self.ctx.params.cpu_per_tuple
         inner_rows = list(self.inner)  # filters evaluated once, here
         meter.charge_cpu(cpu * len(inner_rows))
-        rescan_pages = self.inner_base_pages
-        if rescan_pages is None:
-            width = _scope_width(self.inner.scope, self.ctx.catalog)
-            rescan_pages = int(
-                self.ctx.params.pages_for(len(inner_rows), width)
-            )
+        rescan_pages = self.rescan_pages(len(inner_rows))
         for outer_row in self.outer:
             meter.charge_cpu(cpu)
             # The paper's constant-|S| term: every outer tuple rescans the
@@ -604,30 +666,49 @@ def _scope_width(scope: Scope, catalog: Catalog) -> int:
     return sum(catalog.table(name).schema.tuple_width for name in tables)
 
 
+#: What :class:`InstrumentedOperator` has ``next`` return for an exhausted
+#: child, so the final pull is bracketed by the same code as every other.
+_EXHAUSTED = object()
+
+
 class InstrumentedOperator(Operator):
     """Transparent wrapper measuring one plan node's actuals.
 
     Every pull through the wrapped operator is bracketed with meter and
     cache snapshots, so the deltas attribute all charges incurred while
     this node's subtree ran (its own work plus its children's — inclusive,
-    like the estimates). Only constructed in EXPLAIN ANALYZE mode; the
-    default path never sees this class.
+    like the estimates). On the vector engine each pull is a batch, and an
+    instrumented run also tallies the batch-granular companion stats.
+    Only constructed in EXPLAIN ANALYZE mode; the default path never sees
+    this class.
     """
 
     def __init__(
-        self, node: PlanNode, child: Operator, ctx: RuntimeContext
+        self,
+        node: PlanNode,
+        child: Operator,
+        ctx: RuntimeContext,
+        chunk_rows: Callable[[object], int],
     ) -> None:
         assert ctx.node_stats is not None
         self.child = child
         self.ctx = ctx
+        self.chunk_rows = chunk_rows
         self.scope = child.scope
         self.stats = OperatorStats()
         ctx.node_stats[id(node)] = self.stats
+        self.batch_stats: BatchNodeStats | None = (
+            batch_node_stats(ctx, node)
+            if ctx.batch_stats is not None
+            else None
+        )
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator:
         meter = self.ctx.meter
         cache = self.ctx.cache
         stats = self.stats
+        batch_stats = self.batch_stats
+        chunk_rows = self.chunk_rows
         iterator = iter(self.child)
         while True:
             io_before = meter.io_charged
@@ -635,26 +716,21 @@ class InstrumentedOperator(Operator):
             function_before = meter.function_charged
             hits_before = cache.stats.hits if cache is not None else 0
             started = time.perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                stats.wall_seconds += time.perf_counter() - started
-                stats.io_charged += meter.io_charged - io_before
-                stats.cpu_charged += meter.cpu_charged - cpu_before
-                stats.function_charged += (
-                    meter.function_charged - function_before
-                )
-                if cache is not None:
-                    stats.cache_hits += cache.stats.hits - hits_before
-                return
+            chunk = next(iterator, _EXHAUSTED)
             stats.wall_seconds += time.perf_counter() - started
             stats.io_charged += meter.io_charged - io_before
             stats.cpu_charged += meter.cpu_charged - cpu_before
             stats.function_charged += meter.function_charged - function_before
             if cache is not None:
                 stats.cache_hits += cache.stats.hits - hits_before
-            stats.rows_out += 1
-            yield row
+            if chunk is _EXHAUSTED:
+                return
+            rows = chunk_rows(chunk)
+            stats.rows_out += rows
+            if batch_stats is not None:
+                batch_stats.batches += 1
+                batch_stats.rows_out.observe(float(rows))
+            yield chunk
 
 
 class MonitoredOperator(Operator):
@@ -663,35 +739,43 @@ class MonitoredOperator(Operator):
 
     Construction marks the node *active* (a plan node with no operator —
     an index-nested-loop join's inner scan — never activates and is
-    excluded from whole-plan progress). Each pull reports one row and
-    its wall-clock latency; exhaustion reports completion. Only
+    excluded from whole-plan progress). Each pull reports the chunk's
+    rows and its wall-clock latency; exhaustion reports completion. Only
     constructed when the context carries a ``monitor``; the default
     path never sees this class.
     """
 
     def __init__(
-        self, node: PlanNode, child: Operator, ctx: RuntimeContext
+        self,
+        node: PlanNode,
+        child: Operator,
+        ctx: RuntimeContext,
+        chunk_rows: Callable[[object], int],
     ) -> None:
         assert ctx.monitor is not None
         self.child = child
         self.monitor = ctx.monitor
+        self.chunk_rows = chunk_rows
         self.key = id(node)
         self.scope = child.scope
         self.monitor.activate(self.key)
 
-    def __iter__(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator:
         monitor = self.monitor
         key = self.key
+        chunk_rows = self.chunk_rows
         iterator = iter(self.child)
         while True:
             started = time.perf_counter()
             try:
-                row = next(iterator)
+                chunk = next(iterator)
             except StopIteration:
                 monitor.on_done(key, time.perf_counter() - started)
                 return
-            monitor.on_row(key, time.perf_counter() - started)
-            yield row
+            monitor.on_rows(
+                key, chunk_rows(chunk), time.perf_counter() - started
+            )
+            yield chunk
 
 
 class FlightOperator(Operator):
@@ -786,56 +870,86 @@ class TapOperator(Operator):
             yield row
 
 
-def build_operator(node: PlanNode, ctx: RuntimeContext) -> Operator:
-    """Compile a plan tree into an operator tree (instrumented when the
-    context carries a ``node_stats`` sink, flight-recorded when it
-    carries a ``flight`` recorder, monitored when it carries a
-    ``monitor``)."""
-    operator = _build_operator(node, ctx)
+@dataclass(frozen=True)
+class Engine:
+    """One engine's operator table: what :func:`build_operator` compiles
+    each plan node into. All of an engine's operators exchange the same
+    kind of chunk, and ``chunk_rows`` says how many rows one holds."""
+
+    #: ``(table, ctx)``
+    seq_scan: Callable[..., Operator]
+    #: ``(table, attribute, low, high, ctx)``
+    index_scan: Callable[..., Operator]
+    #: ``(child, filters, ctx, node)``
+    filter: Callable[..., Operator]
+    #: ``(join, outer, inner, ctx)`` per method; ``inner`` is ``None`` for
+    #: index nested loop, which probes the inner relation's index itself.
+    joins: dict[JoinMethod, Callable[..., Operator]]
+    #: ``(node, child, ctx)`` — the flight wrappers stay per engine: their
+    #: event vocabularies are pinned in ``FLIGHT_*.json``.
+    flight: Callable[..., Operator]
+    chunk_rows: Callable[[object], int]
+
+
+ROW_ENGINE = Engine(
+    seq_scan=SeqScanOp,
+    index_scan=IndexScanOp,
+    filter=lambda child, filters, ctx, node: FilterChain(child, filters, ctx),
+    joins={
+        JoinMethod.NESTED_LOOP: NestedLoopJoinOp,
+        JoinMethod.INDEX_NESTED_LOOP: (
+            lambda join, outer, inner, ctx: IndexNestedLoopJoinOp(
+                join, outer, ctx
+            )
+        ),
+        JoinMethod.MERGE: MergeJoinOp,
+        JoinMethod.HASH: HashJoinOp,
+    },
+    flight=FlightOperator,
+    chunk_rows=lambda row: 1,
+)
+
+
+def build_operator(
+    node: PlanNode, ctx: RuntimeContext, engine: Engine = ROW_ENGINE
+) -> Operator:
+    """Compile a plan tree into ``engine``'s operator tree (the row
+    engine's unless told otherwise): filtered when the node carries
+    predicates, instrumented when the context carries a ``node_stats``
+    sink, flight-recorded when it carries a ``flight`` recorder,
+    monitored when it carries a ``monitor``. The adaptive ``feed`` only
+    ever reaches the row engine."""
     feed = ctx.feed
-    if feed is not None and id(node) in feed.tap_ids:
-        operator = TapOperator(node, operator, feed)
-    if ctx.node_stats is not None:
-        operator = InstrumentedOperator(node, operator, ctx)
-    if ctx.flight is not None:
-        operator = FlightOperator(node, operator, ctx)
-    if ctx.monitor is not None:
-        operator = MonitoredOperator(node, operator, ctx)
-    return operator
-
-
-def _build_operator(node: PlanNode, ctx: RuntimeContext) -> Operator:
     if isinstance(node, Scan):
         if node.index_attr is not None:
             low, high = node.index_range  # type: ignore[misc]
-            source: Operator = IndexScanOp(
+            operator = engine.index_scan(
                 node.table, node.index_attr, low, high, ctx
             )
         else:
-            source = SeqScanOp(node.table, ctx)
-        feed = ctx.feed
+            operator = engine.seq_scan(node.table, ctx)
         if feed is not None and id(node) == feed.leaf_id:
-            source = LeafFeedOperator(source, feed)
-        if node.filters or feed is not None:
-            return FilterChain(source, node.filters, ctx)
-        return source
-
-    if isinstance(node, Join):
-        outer = build_operator(node.outer, ctx)
-        if node.method is JoinMethod.INDEX_NESTED_LOOP:
-            joined: Operator = IndexNestedLoopJoinOp(node, outer, ctx)
-        else:
-            inner = build_operator(node.inner, ctx)
-            if node.method is JoinMethod.NESTED_LOOP:
-                joined = NestedLoopJoinOp(node, outer, inner, ctx)
-            elif node.method is JoinMethod.MERGE:
-                joined = MergeJoinOp(node, outer, inner, ctx)
-            elif node.method is JoinMethod.HASH:
-                joined = HashJoinOp(node, outer, inner, ctx)
-            else:  # pragma: no cover - exhaustive over enum
-                raise PlanError(f"unknown join method {node.method}")
-        if node.filters or ctx.feed is not None:
-            return FilterChain(joined, node.filters, ctx)
-        return joined
-
-    raise PlanError(f"cannot execute node type: {type(node).__name__}")
+            operator = LeafFeedOperator(operator, feed)
+    elif isinstance(node, Join):
+        outer = build_operator(node.outer, ctx, engine)
+        inner = (
+            None
+            if node.method is JoinMethod.INDEX_NESTED_LOOP
+            else build_operator(node.inner, ctx, engine)
+        )
+        operator = engine.joins[node.method](node, outer, inner, ctx)
+    else:
+        raise PlanError(f"cannot execute node type: {type(node).__name__}")
+    if node.filters or feed is not None:
+        operator = engine.filter(operator, node.filters, ctx, node)
+    if feed is not None and id(node) in feed.tap_ids:
+        operator = TapOperator(node, operator, feed)
+    if ctx.node_stats is not None:
+        operator = InstrumentedOperator(
+            node, operator, ctx, engine.chunk_rows
+        )
+    if ctx.flight is not None:
+        operator = engine.flight(node, operator, ctx)
+    if ctx.monitor is not None:
+        operator = MonitoredOperator(node, operator, ctx, engine.chunk_rows)
+    return operator

@@ -60,7 +60,7 @@ class QueryResult:
     #: the execution was instrumented (EXPLAIN ANALYZE).
     node_stats: dict[int, OperatorStats] | None = None
     #: Batch-granular actuals keyed by ``id(plan_node)`` (values are
-    #: :class:`~repro.exec.vector.BatchNodeStats`); filled only on
+    #: :class:`~repro.exec.operators.BatchNodeStats`); filled only on
     #: instrumented ``executor="vector"`` runs. ``None`` on the row path
     #: — the row-path totals in ``node_stats`` are the parity-gated
     #: figures and never change shape.
@@ -309,8 +309,11 @@ class Executor:
         node_stats: dict[int, OperatorStats] | None = (
             {} if instrument else None
         )
+        # Adaptive runs always drive the row pipeline — the vector engine
+        # has no safe splice point.
+        vectorized = self.executor == "vector" and self.adaptive is None
         batch_stats: dict[int, object] | None = (
-            {} if instrument and self.executor == "vector" else None
+            {} if instrument and vectorized else None
         )
         containment = (
             ContainmentState(
@@ -334,12 +337,11 @@ class Executor:
             )
         controller: AdaptiveController | None = None
         if self.adaptive is not None:
-            # Adaptive runs always drive the row pipeline — the vector
-            # engine has no safe splice point — but honour a vector
-            # request's batch granularity as the boundary cadence. The
-            # controller doubles as the feedback collector (tee-ing to
-            # any user-supplied one) so drift detection rides the
-            # existing evaluate_predicate bracket.
+            # A vector request's batch granularity becomes the row
+            # pipeline's boundary cadence. The controller doubles as the
+            # feedback collector (tee-ing to any user-supplied one) so
+            # drift detection rides the existing evaluate_predicate
+            # bracket.
             from repro.adaptive.controller import AdaptiveController
 
             controller = AdaptiveController(
@@ -385,9 +387,6 @@ class Executor:
             "execute", caching=self.caching, instrumented=instrument
         ) as span:
             try:
-                vectorized = (
-                    self.executor == "vector" and controller is None
-                )
                 with tracer.span("executor.build"), \
                         profiler.phase("exec.build"):
                     if vectorized:

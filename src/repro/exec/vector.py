@@ -1,7 +1,8 @@
 """Batch-at-a-time (vectorized) execution: the row executor's fast twin.
 
-Operators here consume and produce :class:`~repro.storage.columnar.
-ColumnBatch` objects instead of single rows, with three speed levers:
+Operators here speak the same protocol as the row engine's — an iterable
+of chunks with a scope — with a :class:`~repro.storage.columnar.
+ColumnBatch` as the chunk instead of a single row, and three speed levers:
 
 * **compiled kernels** — each predicate's expression tree is compiled
   once into nested closures over binding-slot indices, replacing the
@@ -11,9 +12,13 @@ ColumnBatch` objects instead of single rows, with three speed levers:
   column-at-a-time, so each expensive-UDF call is made (and charged)
   only for selection-vector survivors;
 * **bulk metering** — per-tuple CPU and rescan-I/O charges accrue once
-  per batch (``cost × n``) instead of once per row, and equijoin
-  nested-loop primaries are matched by hash partitioning instead of
-  evaluating the equality on every pair.
+  per batch (``cost × n``) instead of once per row.
+
+A batch twin exists only where a ``BENCHMARK.json`` workload executes it:
+sequential scan, filter, nested-loop join and hash join. Merge join, index
+scan and index nested-loop join run through the *row* operators between
+two adaptors (:class:`RowsOfBatches`, :class:`BatchesOfRows`), so those
+nodes charge exactly what the row engine charges.
 
 Charging parity is the contract: a completed vector run charges exactly
 what the row executor charges (same ``charged``, ``io_charged``,
@@ -28,8 +33,7 @@ the row path's per-tuple contained loop, so retry/quarantine semantics —
 and the chaos suite's subset/superset audits — are preserved under
 batching. FeedbackCollector / RuntimeMonitor sinks are observed
 per batch via their ``observe_batch`` / ``observe_predicate_batch`` /
-``on_rows`` bulk hooks (with per-call fallbacks), and cost nothing when
-detached.
+``on_rows`` bulk hooks, and cost nothing when detached.
 """
 
 from __future__ import annotations
@@ -38,11 +42,19 @@ import time
 from itertools import compress
 from typing import Callable, Iterator
 
-from repro.errors import ExecutionError, PlanError
+from repro.errors import ExecutionError
 from repro.exec.operators import (
-    OperatorStats,
+    ROW_ENGINE,
+    BatchNodeStats,
+    Engine,
+    HashJoinOp,
+    NestedLoopJoinOp,
+    Operator,
     RuntimeContext,
+    SeqScanOp,
     _scope_width,
+    batch_node_stats,
+    build_operator,
     evaluate_predicate,
 )
 from repro.expr.expressions import (
@@ -59,10 +71,9 @@ from repro.expr.expressions import (
     Scope,
 )
 from repro.expr.predicates import BoolBranch, BoolLeaf, Predicate
-from repro.obs.histograms import StreamingHistogram
 from repro.obs.quality import fmt_stat
 from repro.plan.display import _node_label
-from repro.plan.nodes import Join, JoinMethod, PlanNode, Scan
+from repro.plan.nodes import Join, JoinMethod, PlanNode
 from repro.storage.columnar import (
     DEFAULT_BATCH_ROWS,
     ColumnBatch,
@@ -254,54 +265,6 @@ class BatchPredicateStats:
         }
 
 
-class BatchNodeStats:
-    """Batch-granular actuals for one plan node under the vector engine.
-
-    The batch-level companion of
-    :class:`~repro.exec.operators.OperatorStats` — it never replaces the
-    row-path totals (those stay byte-identical to the row engine); it
-    *adds* what only exists under batching: how many batches flowed,
-    their size distribution, and how the selection vector decayed
-    through the node's filter chain.
-    """
-
-    __slots__ = ("batches", "rows_in", "rows_out", "predicates")
-
-    def __init__(self) -> None:
-        #: Batches the node emitted (empty post-filter batches are
-        #: dropped, so this can be lower than the input batch count,
-        #: which is ``rows_in.count``).
-        self.batches = 0
-        #: Per-batch rows entering the node's filter chain.
-        self.rows_in = StreamingHistogram()
-        #: Per-batch rows the node emitted.
-        self.rows_out = StreamingHistogram()
-        #: Chain-ordered per-predicate stats (empty for filterless nodes).
-        self.predicates: list[BatchPredicateStats] = []
-
-    @property
-    def chain_rows(self) -> int:
-        """Total rows that entered the filter chain."""
-        return int(self.rows_in.finite_sum)
-
-    def as_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "rows_in": self.rows_in.as_dict(),
-            "rows_out": self.rows_out.as_dict(),
-            "predicates": [p.as_dict() for p in self.predicates],
-        }
-
-
-def _batch_node_stats(ctx: RuntimeContext, node: PlanNode) -> BatchNodeStats:
-    """Get-or-create the batch stats slot for ``node`` (the filter chain
-    and the instrumented wrapper both write into the same slot)."""
-    stats = ctx.batch_stats.get(id(node))
-    if stats is None:
-        stats = ctx.batch_stats[id(node)] = BatchNodeStats()
-    return stats
-
-
 # -- batch predicate evaluation ----------------------------------------------
 
 
@@ -437,9 +400,9 @@ class PredicateRunner:
                     )
             monitor = ctx.monitor
             if monitor is not None and batch.length:
-                bulk = getattr(monitor, "observe_predicate_batch", None)
-                if bulk is not None:
-                    bulk(self.predicate, batch.length, mask_count(mask), ())
+                monitor.observe_predicate_batch(
+                    self.predicate, batch.length, mask_count(mask), ()
+                )
             return mask
         return self.evaluate_bindings(_bindings_from_batch(batch, slots))
 
@@ -513,51 +476,27 @@ class PredicateRunner:
                 mask[i] = 1
                 passed_count += 1
             charges.append(meter.function_charged - before)
-        observe_predicate_batch(
-            self.ctx.collector,
-            self.ctx.monitor,
-            self.predicate,
-            mask,
-            passed_count,
-            charges,
-        )
-        return mask
-
-
-def observe_predicate_batch(
-    collector,
-    monitor,
-    predicate: Predicate,
-    mask: bytearray,
-    passed_count: int,
-    charges: list[float],
-) -> None:
-    """Report one batch of predicate verdicts to the attached sinks,
-    preferring their bulk hooks and falling back to per-call observes
-    for duck-typed sinks that lack them."""
-    evaluated = len(charges)
-    if collector is not None:
-        bulk = getattr(collector, "observe_batch", None)
-        if bulk is not None:
+        collector = self.ctx.collector
+        if collector is not None:
             charged_calls = 0
             charged_cost = 0.0
             for charge in charges:
                 if charge > 0:
                     charged_calls += 1
                     charged_cost += charge
-            bulk(
-                predicate, evaluated, passed_count, charged_calls, charged_cost
+            collector.observe_batch(
+                self.predicate,
+                len(charges),
+                passed_count,
+                charged_calls,
+                charged_cost,
             )
-        else:
-            for i in range(evaluated):
-                collector.observe(predicate, mask[i] == 1, charges[i])
-    if monitor is not None:
-        bulk = getattr(monitor, "observe_predicate_batch", None)
-        if bulk is not None:
-            bulk(predicate, evaluated, passed_count, charges)
-        else:
-            for i in range(evaluated):
-                monitor.observe_predicate(predicate, mask[i] == 1, charges[i])
+        monitor = self.ctx.monitor
+        if monitor is not None:
+            monitor.observe_predicate_batch(
+                self.predicate, len(charges), passed_count, charges
+            )
+        return mask
 
 
 def _bindings_from_batch(
@@ -578,65 +517,18 @@ def _input_slots(predicate: Predicate, scope: Scope) -> list[int]:
 # -- batch operators ---------------------------------------------------------
 
 
-class BatchOperator:
-    """Base: an iterable of :class:`ColumnBatch` with a fixed scope."""
-
-    scope: Scope
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        raise NotImplementedError
-
-
-class BatchSeqScan(BatchOperator):
+class BatchSeqScan(SeqScanOp):
     def __init__(
         self, table: str, ctx: RuntimeContext, batch_rows: int
     ) -> None:
-        entry = ctx.catalog.table(table)
-        if entry.heap is None:
-            raise ExecutionError(f"relation {table!r} has no heap file")
-        self.entry = entry
+        super().__init__(table, ctx)
         self.batch_rows = batch_rows
-        self.scope = Scope(
-            [(table, name) for name in entry.schema.attribute_names]
-        )
 
-    def batches(self) -> Iterator[ColumnBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         return batches_from_heap(self.entry.heap, self.scope, self.batch_rows)
 
 
-class BatchIndexScan(BatchOperator):
-    def __init__(
-        self,
-        table: str,
-        attribute: str,
-        low: object,
-        high: object,
-        ctx: RuntimeContext,
-        batch_rows: int,
-    ) -> None:
-        entry = ctx.catalog.table(table)
-        if not entry.has_index(attribute):
-            raise ExecutionError(f"no index on {table}.{attribute}")
-        self.entry = entry
-        self.index = entry.index(attribute)
-        self.low = low
-        self.high = high
-        self.batch_rows = batch_rows
-        self.scope = Scope(
-            [(table, name) for name in entry.schema.attribute_names]
-        )
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        heap = self.entry.heap
-
-        def rows() -> Iterator[tuple]:
-            for rid in self.index.range_search(self.low, self.high):
-                yield heap.fetch_rid(rid)
-
-        return batches_from_rows(self.scope, rows(), self.batch_rows)
-
-
-class BatchFilter(BatchOperator):
+class BatchFilter(Operator):
     """Applies an ordered predicate list batch-at-a-time.
 
     Each predicate fills a selection mask over the current survivors and
@@ -648,16 +540,16 @@ class BatchFilter(BatchOperator):
 
     def __init__(
         self,
-        child: BatchOperator,
+        child: Operator,
         filters: list[Predicate],
         ctx: RuntimeContext,
-        node: PlanNode | None = None,
+        node: PlanNode,
     ) -> None:
         self.child = child
         self.filters = filters
         self.ctx = ctx
         self.scope = child.scope
-        self.node_key = id(node) if node is not None else 0
+        self.node_key = id(node)
         #: Product of the chain's declared selectivities — what the
         #: optimizer expected the chain to keep (for the monitor's
         #: density-based refinement).
@@ -666,24 +558,21 @@ class BatchFilter(BatchOperator):
             self.declared_selectivity *= float(predicate.selectivity)
         self._stats: BatchNodeStats | None = None
         self._pred_stats: list[BatchPredicateStats] = []
-        if ctx.batch_stats is not None and node is not None:
-            self._stats = _batch_node_stats(ctx, node)
+        if ctx.batch_stats is not None:
+            self._stats = batch_node_stats(ctx, node)
             self._pred_stats = [BatchPredicateStats(p) for p in filters]
             self._stats.predicates.extend(self._pred_stats)
+        #: The monitor's per-batch density callback, or ``None``.
+        self._on_filter_batch = (
+            ctx.monitor.on_filter_batch if ctx.monitor is not None else None
+        )
         if ctx.containment is None:
             self._runners = [
                 (PredicateRunner(p, ctx), _input_slots(p, self.scope))
                 for p in filters
             ]
 
-    def _density_hook(self):
-        """The monitor's per-batch density callback, or ``None``."""
-        monitor = self.ctx.monitor
-        if monitor is None or not self.node_key:
-            return None
-        return getattr(monitor, "on_filter_batch", None)
-
-    def batches(self) -> Iterator[ColumnBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
         if ctx.containment is not None:
             # Containment slow path: per-tuple contained evaluation keeps
@@ -691,8 +580,8 @@ class BatchFilter(BatchOperator):
             scope = self.scope
             filters = self.filters
             stats = self._stats
-            on_filter_batch = self._density_hook()
-            for batch in self.child.batches():
+            on_filter_batch = self._on_filter_batch
+            for batch in self.child:
                 rows_in = batch.length
                 mask = bytearray(rows_in)
                 for i, row in enumerate(batch.iter_rows()):
@@ -716,10 +605,10 @@ class BatchFilter(BatchOperator):
             return
         runners = self._runners
         stats = self._stats
-        on_filter_batch = self._density_hook()
+        on_filter_batch = self._on_filter_batch
         if stats is None and on_filter_batch is None:
             # Detached fast path: no stats branch anywhere in the loop.
-            for batch in self.child.batches():
+            for batch in self.child:
                 for runner, slots in runners:
                     if batch.length == 0:
                         break
@@ -730,7 +619,7 @@ class BatchFilter(BatchOperator):
             return
         pred_stats = self._pred_stats or [None] * len(runners)
         cache = ctx.cache
-        for batch in self.child.batches():
+        for batch in self.child:
             rows_in = batch.length
             if stats is not None:
                 stats.rows_in.observe(float(rows_in))
@@ -792,59 +681,29 @@ class _BatchBuilder:
             yield ColumnBatch.from_rows(self.scope, rows)
 
 
-class BatchNestedLoopJoin(BatchOperator):
+class BatchNestedLoopJoin(NestedLoopJoinOp):
     """Nested loop over batches.
 
-    Equijoin primaries with free equality predicates are matched by hash
-    partitioning on the join key (None keys never match, like SQL ``=``)
-    — an O(|R|+|S|) evaluation of the same pair set the row executor
-    walks in O(|R|·|S|). Expensive, compound, or non-equality primaries
-    evaluate per pair through a compiled :class:`PredicateRunner`. All
-    metering (inner materialisation CPU, per-outer-tuple CPU and rescan
-    I/O, primary-predicate function charges) totals exactly what the row
+    The primary evaluates per pair through a compiled
+    :class:`PredicateRunner` — the same O(|R|·|S|) walk the row operator
+    does, one outer row's bindings at a time. All metering (inner
+    materialisation CPU, per-outer-tuple CPU and rescan I/O,
+    primary-predicate function charges) totals exactly what the row
     operator charges.
     """
 
     def __init__(
         self,
         join: Join,
-        outer: BatchOperator,
-        inner: BatchOperator,
+        outer: Operator,
+        inner: Operator,
         ctx: RuntimeContext,
         batch_rows: int,
     ) -> None:
-        self.join = join
-        self.outer = outer
-        self.inner = inner
-        self.ctx = ctx
+        super().__init__(join, outer, inner, ctx)
         self.batch_rows = batch_rows
-        self.scope = outer.scope.concat(inner.scope)
-        inner_node = join.inner
-        if isinstance(inner_node, Scan):
-            self.inner_base_pages: int | None = ctx.catalog.table(
-                inner_node.table
-            ).pages
-        else:
-            self.inner_base_pages = None
-        primary = join.primary
-        self._hash_eligible = (
-            ctx.containment is None
-            and primary.equijoin is not None
-            and not primary.is_expensive
-        )
-        if self._hash_eligible:
-            left, right = primary.equijoin
-            if (left.table, left.attribute) in outer.scope:
-                outer_col, inner_col = left, right
-            else:
-                outer_col, inner_col = right, left
-            self.outer_slot = outer.scope.slot(
-                outer_col.table, outer_col.attribute
-            )
-            self.inner_slot = inner.scope.slot(
-                inner_col.table, inner_col.attribute
-            )
-        elif ctx.containment is None:
+        if ctx.containment is None:
+            primary = join.primary
             self._runner = PredicateRunner(primary, ctx)
             outer_scope, inner_scope = outer.scope, inner.scope
             self._getters = [
@@ -854,80 +713,16 @@ class BatchNestedLoopJoin(BatchOperator):
                 for table, attribute in primary.input_columns()
             ]
 
-    def _rescan_pages(self, inner_rows: list[tuple]) -> int:
-        if self.inner_base_pages is not None:
-            return self.inner_base_pages
-        width = _scope_width(self.inner.scope, self.ctx.catalog)
-        return int(self.ctx.params.pages_for(len(inner_rows), width))
-
-    def batches(self) -> Iterator[ColumnBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        meter = ctx.meter
-        cpu = ctx.params.cpu_per_tuple
         inner_rows: list[tuple] = []
-        for batch in self.inner.batches():  # filters evaluated once, here
+        for batch in self.inner:  # filters evaluated once, here
             inner_rows.extend(batch.iter_rows())
-        meter.charge_cpu(cpu * len(inner_rows))
-        rescan_pages = self._rescan_pages(inner_rows)
+        ctx.meter.charge_cpu(ctx.params.cpu_per_tuple * len(inner_rows))
+        rescan_pages = self.rescan_pages(len(inner_rows))
         out = _BatchBuilder(self.scope, self.batch_rows)
-        if self._hash_eligible:
-            yield from self._hash_matched(inner_rows, rescan_pages, out)
-        else:
-            yield from self._pairwise(inner_rows, rescan_pages, out)
+        yield from self._pairwise(inner_rows, rescan_pages, out)
         yield from out.flush()
-
-    def _hash_matched(
-        self,
-        inner_rows: list[tuple],
-        rescan_pages: int,
-        out: _BatchBuilder,
-    ) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        meter = ctx.meter
-        cpu = ctx.params.cpu_per_tuple
-        inner_slot = self.inner_slot
-        buckets: dict[object, list[tuple]] = {}
-        for inner_row in inner_rows:
-            key = inner_row[inner_slot]
-            if key is not None:  # `=` on NULL is never true
-                buckets.setdefault(key, []).append(inner_row)
-        attached = ctx.collector is not None or ctx.monitor is not None
-        pairs = 0
-        matches = 0
-        pending = out.rows
-        for obatch in self.outer.batches():
-            n = obatch.length
-            meter.charge_cpu(cpu * n)
-            meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
-            if attached:
-                pairs += n * len(inner_rows)
-            outer_slot = self.outer_slot
-            for outer_row in obatch.rows:
-                matched = buckets.get(outer_row[outer_slot])
-                if matched:
-                    for inner_row in matched:
-                        pending.append(outer_row + inner_row)
-                    if attached:
-                        matches += len(matched)
-            yield from out.drain()
-        if attached and pairs:
-            # The row path observes the (free) equality once per pair;
-            # report the same verdict totals with zero charged cost.
-            self._observe_pairs(pairs, matches)
-
-    def _observe_pairs(self, pairs: int, matches: int) -> None:
-        ctx = self.ctx
-        predicate = self.join.primary
-        collector = ctx.collector
-        if collector is not None:
-            bulk = getattr(collector, "observe_batch", None)
-            if bulk is not None:
-                bulk(predicate, pairs, matches, 0, 0.0)
-        monitor = ctx.monitor
-        if monitor is not None:
-            bulk = getattr(monitor, "observe_predicate_batch", None)
-            if bulk is not None:
-                bulk(predicate, pairs, matches, ())
 
     def _pairwise(
         self,
@@ -943,7 +738,7 @@ class BatchNestedLoopJoin(BatchOperator):
         pending = out.rows
         scope = self.scope
         if contained:
-            for obatch in self.outer.batches():
+            for obatch in self.outer:
                 n = obatch.length
                 meter.charge_cpu(cpu * n)
                 meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
@@ -968,7 +763,7 @@ class BatchNestedLoopJoin(BatchOperator):
             outer_slot = (getters[0] if outer_first else getters[1])[1]
             inner_slot = (getters[1] if outer_first else getters[0])[1]
             inner_vals = [row[inner_slot] for row in inner_rows]
-            for obatch in self.outer.batches():
+            for obatch in self.outer:
                 n = obatch.length
                 meter.charge_cpu(cpu * n)
                 meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
@@ -983,7 +778,7 @@ class BatchNestedLoopJoin(BatchOperator):
                         pending.append(outer_row + inner_row)
                 yield from out.drain()
             return
-        for obatch in self.outer.batches():
+        for obatch in self.outer:
             n = obatch.length
             meter.charge_cpu(cpu * n)
             meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
@@ -1002,197 +797,29 @@ class BatchNestedLoopJoin(BatchOperator):
             yield from out.drain()
 
 
-class BatchIndexNestedLoopJoin(BatchOperator):
-    """Index nested loop: probes stay in row order so buffer-pool hits
-    (and therefore random-I/O charges) match the row executor's."""
-
-    def __init__(
-        self,
-        join: Join,
-        outer: BatchOperator,
-        ctx: RuntimeContext,
-        batch_rows: int,
-    ) -> None:
-        inner_scan = join.inner
-        if not isinstance(inner_scan, Scan):
-            raise PlanError("left-deep plans require a scan inner input")
-        columns = join.join_columns()
-        if columns is None:
-            raise PlanError("index nested loop requires an equijoin primary")
-        outer_column, inner_column = columns
-        entry = ctx.catalog.table(inner_scan.table)
-        if not entry.has_index(inner_column.attribute):
-            raise ExecutionError(
-                f"no index on {inner_column.table}.{inner_column.attribute}"
-            )
-        self.join = join
-        self.outer = outer
-        self.ctx = ctx
-        self.batch_rows = batch_rows
-        self.entry = entry
-        self.index = entry.index(inner_column.attribute)
-        self.inner_filters = inner_scan.filters
-        self.inner_scope = Scope(
-            [(inner_scan.table, name) for name in entry.schema.attribute_names]
-        )
-        self.outer_slot = outer.scope.slot(
-            outer_column.table, outer_column.attribute
-        )
-        self.scope = outer.scope.concat(self.inner_scope)
-        if ctx.containment is None:
-            self._runners = [
-                (PredicateRunner(p, ctx), _input_slots(p, self.inner_scope))
-                for p in self.inner_filters
-            ]
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        ctx = self.ctx
-        meter = ctx.meter
-        cpu = ctx.params.cpu_per_tuple
-        heap = self.entry.heap
-        index = self.index
-        contained = ctx.containment is not None
-        out = _BatchBuilder(self.scope, self.batch_rows)
-        pending = out.rows
-        for obatch in self.outer.batches():
-            meter.charge_cpu(cpu * obatch.length)
-            outer_slot = self.outer_slot
-            outer_rows = obatch.rows
-            # Probe in row order; collect fetched pairs for batch filtering.
-            pairs: list[tuple[int, tuple]] = []
-            for i, outer_row in enumerate(outer_rows):
-                for rid in index.search(outer_row[outer_slot]):
-                    pairs.append((i, heap.fetch_rid(rid)))
-            if contained:
-                inner_scope = self.inner_scope
-                for i, inner_row in pairs:
-                    if all(
-                        evaluate_predicate(
-                            predicate, inner_row, inner_scope, ctx
-                        )
-                        for predicate in self.inner_filters
-                    ):
-                        pending.append(outer_rows[i] + inner_row)
-            else:
-                for runner, slots in self._runners:
-                    if not pairs:
-                        break
-                    bindings = [
-                        tuple(inner_row[slot] for slot in slots)
-                        for _, inner_row in pairs
-                    ]
-                    mask = runner.evaluate_bindings(bindings)
-                    pairs = list(compress(pairs, mask))
-                for i, inner_row in pairs:
-                    pending.append(outer_rows[i] + inner_row)
-            yield from out.drain()
-        yield from out.flush()
-
-
-class BatchMergeJoin(BatchOperator):
-    """Sort-merge join; sort and CPU charges mirror the row operator."""
-
-    def __init__(
-        self,
-        join: Join,
-        outer: BatchOperator,
-        inner: BatchOperator,
-        ctx: RuntimeContext,
-        batch_rows: int,
-    ) -> None:
-        columns = join.join_columns()
-        if columns is None:
-            raise PlanError("merge join requires an equijoin primary")
-        outer_column, inner_column = columns
-        self.join = join
-        self.outer = outer
-        self.inner = inner
-        self.ctx = ctx
-        self.batch_rows = batch_rows
-        self.scope = outer.scope.concat(inner.scope)
-        self.outer_slot = outer.scope.slot(
-            outer_column.table, outer_column.attribute
-        )
-        self.inner_slot = inner.scope.slot(
-            inner_column.table, inner_column.attribute
-        )
-
-    def _sorted_rows(self, child: BatchOperator, slot: int) -> list[tuple]:
-        rows: list[tuple] = []
-        for batch in child.batches():
-            rows.extend(batch.iter_rows())
-        rows.sort(key=lambda row: row[slot])
-        width = _scope_width(child.scope, self.ctx.catalog)
-        params = self.ctx.params
-        pages = int(params.pages_for(len(rows), width))
-        self.ctx.meter.charge_io(
-            IOKind.SEQUENTIAL, 2 * pages * params.sort_passes(pages)
-        )
-        self.ctx.meter.charge_cpu(params.cpu_per_tuple * len(rows))
-        return rows
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        outer_rows = self._sorted_rows(self.outer, self.outer_slot)
-        inner_rows = self._sorted_rows(self.inner, self.inner_slot)
-        inner_slot = self.inner_slot
-        inner_len = len(inner_rows)
-        inner_pos = 0
-        out = _BatchBuilder(self.scope, self.batch_rows)
-        pending = out.rows
-        for outer_row in outer_rows:
-            key = outer_row[self.outer_slot]
-            while (
-                inner_pos < inner_len
-                and inner_rows[inner_pos][inner_slot] < key
-            ):
-                inner_pos += 1
-            probe = inner_pos
-            while (
-                probe < inner_len and inner_rows[probe][inner_slot] == key
-            ):
-                pending.append(outer_row + inner_rows[probe])
-                probe += 1
-            yield from out.drain()
-        yield from out.flush()
-
-
-class BatchHashJoin(BatchOperator):
+class BatchHashJoin(HashJoinOp):
     """Hash join; build/probe CPU and Grace-spill charges mirror the row
     operator (bulk-charged per batch)."""
 
     def __init__(
         self,
         join: Join,
-        outer: BatchOperator,
-        inner: BatchOperator,
+        outer: Operator,
+        inner: Operator,
         ctx: RuntimeContext,
         batch_rows: int,
     ) -> None:
-        columns = join.join_columns()
-        if columns is None:
-            raise PlanError("hash join requires an equijoin primary")
-        outer_column, inner_column = columns
-        self.join = join
-        self.outer = outer
-        self.inner = inner
-        self.ctx = ctx
+        super().__init__(join, outer, inner, ctx)
         self.batch_rows = batch_rows
-        self.scope = outer.scope.concat(inner.scope)
-        self.outer_slot = outer.scope.slot(
-            outer_column.table, outer_column.attribute
-        )
-        self.inner_slot = inner.scope.slot(
-            inner_column.table, inner_column.attribute
-        )
 
-    def batches(self) -> Iterator[ColumnBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
         meter = ctx.meter
         cpu = ctx.params.cpu_per_tuple
         inner_slot = self.inner_slot
         table: dict[object, list[tuple]] = {}
         inner_count = 0
-        for batch in self.inner.batches():
+        for batch in self.inner:
             meter.charge_cpu(cpu * batch.length)
             inner_count += batch.length
             for inner_row in batch.iter_rows():
@@ -1204,7 +831,7 @@ class BatchHashJoin(BatchOperator):
         outer_slot = self.outer_slot
         if inner_pages > ctx.params.hash_memory_pages:
             # Grace hash join: partition both sides to disk and back.
-            outer_batches = list(self.outer.batches())
+            outer_batches = list(self.outer)
             outer_count = sum(batch.length for batch in outer_batches)
             outer_width = _scope_width(self.outer.scope, ctx.catalog)
             outer_pages = ctx.params.pages_for(outer_count, outer_width)
@@ -1212,7 +839,7 @@ class BatchHashJoin(BatchOperator):
                 IOKind.SEQUENTIAL, 2 * int(inner_pages + outer_pages)
             )
         else:
-            outer_batches = self.outer.batches()
+            outer_batches = self.outer
         for obatch in outer_batches:
             meter.charge_cpu(cpu * obatch.length)
             for outer_row in obatch.rows:
@@ -1224,103 +851,10 @@ class BatchHashJoin(BatchOperator):
         yield from out.flush()
 
 
-# -- instrumentation / telemetry wrappers ------------------------------------
+# -- flight recorder wrapper -------------------------------------------------
 
 
-class InstrumentedBatchOperator(BatchOperator):
-    """Batch analogue of ``InstrumentedOperator``: meter/cache deltas are
-    bracketed around each batch pull, inclusive of the node's subtree."""
-
-    def __init__(
-        self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
-    ) -> None:
-        assert ctx.node_stats is not None
-        self.child = child
-        self.ctx = ctx
-        self.scope = child.scope
-        self.stats = OperatorStats()
-        ctx.node_stats[id(node)] = self.stats
-        self.batch_stats: BatchNodeStats | None = (
-            _batch_node_stats(ctx, node)
-            if ctx.batch_stats is not None
-            else None
-        )
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        meter = self.ctx.meter
-        cache = self.ctx.cache
-        stats = self.stats
-        batch_stats = self.batch_stats
-        iterator = self.child.batches()
-        while True:
-            io_before = meter.io_charged
-            cpu_before = meter.cpu_charged
-            function_before = meter.function_charged
-            hits_before = cache.stats.hits if cache is not None else 0
-            started = time.perf_counter()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                stats.wall_seconds += time.perf_counter() - started
-                stats.io_charged += meter.io_charged - io_before
-                stats.cpu_charged += meter.cpu_charged - cpu_before
-                stats.function_charged += (
-                    meter.function_charged - function_before
-                )
-                if cache is not None:
-                    stats.cache_hits += cache.stats.hits - hits_before
-                return
-            stats.wall_seconds += time.perf_counter() - started
-            stats.io_charged += meter.io_charged - io_before
-            stats.cpu_charged += meter.cpu_charged - cpu_before
-            stats.function_charged += meter.function_charged - function_before
-            if cache is not None:
-                stats.cache_hits += cache.stats.hits - hits_before
-            stats.rows_out += batch.length
-            if batch_stats is not None:
-                batch_stats.batches += 1
-                batch_stats.rows_out.observe(float(batch.length))
-            yield batch
-
-
-class MonitoredBatchOperator(BatchOperator):
-    """Batch analogue of ``MonitoredOperator``: activation at
-    construction, one bulk row report per batch, completion on
-    exhaustion. Uses the monitor's ``on_rows`` bulk hook when present."""
-
-    def __init__(
-        self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
-    ) -> None:
-        assert ctx.monitor is not None
-        self.child = child
-        self.monitor = ctx.monitor
-        self.key = id(node)
-        self.scope = child.scope
-        self.monitor.activate(self.key)
-
-    def batches(self) -> Iterator[ColumnBatch]:
-        monitor = self.monitor
-        key = self.key
-        on_rows = getattr(monitor, "on_rows", None)
-        iterator = self.child.batches()
-        while True:
-            started = time.perf_counter()
-            try:
-                batch = next(iterator)
-            except StopIteration:
-                monitor.on_done(key, time.perf_counter() - started)
-                return
-            elapsed = time.perf_counter() - started
-            if on_rows is not None:
-                on_rows(key, batch.length, elapsed)
-            else:
-                per_row = elapsed / batch.length if batch.length else 0.0
-                for _ in range(batch.length):
-                    monitor.on_row(key, per_row)
-            yield batch
-
-
-class FlightBatchOperator(BatchOperator):
+class FlightBatchOperator(Operator):
     """Transparent wrapper feeding the execution flight recorder.
 
     One bounded event per emitted batch (the ring buffer caps total
@@ -1331,7 +865,7 @@ class FlightBatchOperator(BatchOperator):
     """
 
     def __init__(
-        self, node: PlanNode, child: BatchOperator, ctx: RuntimeContext
+        self, node: PlanNode, child: Operator, ctx: RuntimeContext
     ) -> None:
         assert ctx.flight is not None
         self.child = child
@@ -1340,14 +874,14 @@ class FlightBatchOperator(BatchOperator):
         self.label = _node_label(node)
         self.scope = child.scope
 
-    def batches(self) -> Iterator[ColumnBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
         flight = self.flight
         meter = ctx.meter
         monitor = ctx.monitor
         label = self.label
         count = 0
-        for batch in self.child.batches():
+        for batch in self.child:
             count += 1
             flight.record(
                 "batch",
@@ -1369,68 +903,77 @@ class FlightBatchOperator(BatchOperator):
         )
 
 
-# -- plan compilation --------------------------------------------------------
+# -- the row adaptors and the engine's operator table ------------------------
 
 
-def build_batch_operator(
-    node: PlanNode,
-    ctx: RuntimeContext,
-    batch_rows: int = DEFAULT_BATCH_ROWS,
-) -> BatchOperator:
-    """Compile a plan tree into a batch-operator tree (instrumented /
-    monitored exactly like :func:`repro.exec.operators.build_operator`,
-    flight-recorded when the context carries a recorder)."""
-    operator = _build_batch_operator(node, ctx, batch_rows)
-    if ctx.node_stats is not None:
-        operator = InstrumentedBatchOperator(node, operator, ctx)
-    if ctx.flight is not None:
-        operator = FlightBatchOperator(node, operator, ctx)
-    if ctx.monitor is not None:
-        operator = MonitoredBatchOperator(node, operator, ctx)
-    return operator
+class RowsOfBatches(Operator):
+    """batches→rows: a row operator over a batch operator."""
+
+    def __init__(self, child: Operator) -> None:
+        self.child = child
+        self.scope = child.scope
+
+    def __iter__(self) -> Iterator[tuple]:
+        for batch in self.child:
+            yield from batch.iter_rows()
 
 
-def _build_batch_operator(
-    node: PlanNode, ctx: RuntimeContext, batch_rows: int
-) -> BatchOperator:
-    if isinstance(node, Scan):
-        if node.index_attr is not None:
-            low, high = node.index_range  # type: ignore[misc]
-            source: BatchOperator = BatchIndexScan(
-                node.table, node.index_attr, low, high, ctx, batch_rows
+class BatchesOfRows(Operator):
+    """rows→batches: a batch operator over a row operator."""
+
+    def __init__(self, child: Operator, batch_rows: int) -> None:
+        self.child = child
+        self.batch_rows = batch_rows
+        self.scope = child.scope
+
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        return batches_from_rows(self.scope, self.child, self.batch_rows)
+
+
+def vector_engine(batch_rows: int) -> Engine:
+    """The vector engine's operator table for one batch size.
+
+    The adaptor rule: a batch twin exists only where a ``BENCHMARK.json``
+    workload executes it. Every other plan node runs the row engine's
+    operator, fed rows by :class:`RowsOfBatches` and re-chunked by
+    :class:`BatchesOfRows`.
+    """
+
+    def through_rows(row_join):
+        def build(join, outer, inner, ctx):
+            rows = row_join(
+                join,
+                RowsOfBatches(outer),
+                None if inner is None else RowsOfBatches(inner),
+                ctx,
             )
-        else:
-            source = BatchSeqScan(node.table, ctx, batch_rows)
-        if node.filters:
-            return BatchFilter(source, node.filters, ctx, node)
-        return source
+            return BatchesOfRows(rows, batch_rows)
 
-    if isinstance(node, Join):
-        outer = build_batch_operator(node.outer, ctx, batch_rows)
-        if node.method is JoinMethod.INDEX_NESTED_LOOP:
-            joined: BatchOperator = BatchIndexNestedLoopJoin(
-                node, outer, ctx, batch_rows
-            )
-        else:
-            inner = build_batch_operator(node.inner, ctx, batch_rows)
-            if node.method is JoinMethod.NESTED_LOOP:
-                joined = BatchNestedLoopJoin(
-                    node, outer, inner, ctx, batch_rows
-                )
-            elif node.method is JoinMethod.MERGE:
-                joined = BatchMergeJoin(node, outer, inner, ctx, batch_rows)
-            elif node.method is JoinMethod.HASH:
-                joined = BatchHashJoin(node, outer, inner, ctx, batch_rows)
-            else:  # pragma: no cover - exhaustive over enum
-                raise PlanError(f"unknown join method {node.method}")
-        if node.filters:
-            return BatchFilter(joined, node.filters, ctx, node)
-        return joined
+        return build
 
-    raise PlanError(f"cannot execute node type: {type(node).__name__}")
+    row_joins = ROW_ENGINE.joins
+    return Engine(
+        seq_scan=lambda table, ctx: BatchSeqScan(table, ctx, batch_rows),
+        index_scan=lambda *args: BatchesOfRows(
+            ROW_ENGINE.index_scan(*args), batch_rows
+        ),
+        filter=BatchFilter,
+        joins={
+            JoinMethod.NESTED_LOOP: (
+                lambda *args: BatchNestedLoopJoin(*args, batch_rows)
+            ),
+            JoinMethod.HASH: lambda *args: BatchHashJoin(*args, batch_rows),
+            JoinMethod.MERGE: through_rows(row_joins[JoinMethod.MERGE]),
+            JoinMethod.INDEX_NESTED_LOOP: through_rows(
+                row_joins[JoinMethod.INDEX_NESTED_LOOP]
+            ),
+        },
+        flight=FlightBatchOperator,
+        chunk_rows=len,  # ColumnBatch.__len__
+    )
 
 
-class VectorPlanRunner:
+class VectorPlanRunner(RowsOfBatches):
     """Row-iterable adapter over a batch-operator tree — what the
     executor facade runs when ``executor="vector"``."""
 
@@ -1452,14 +995,9 @@ class VectorPlanRunner:
                 "adaptive re-optimization requires the row engine; "
                 "the vector path cannot splice a re-planned suffix"
             )
-        self.operator = build_batch_operator(node, ctx, batch_rows)
-        self.scope = self.operator.scope
-
-    def __iter__(self) -> Iterator[tuple]:
-        for batch in self.operator.batches():
-            yield from batch.iter_rows()
+        super().__init__(build_operator(node, ctx, vector_engine(batch_rows)))
 
     def run_into(self, rows: list[tuple]) -> None:
         """Collect all output rows with batch-level extends."""
-        for batch in self.operator.batches():
+        for batch in self.child:
             rows.extend(batch.iter_rows())

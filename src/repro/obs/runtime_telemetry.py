@@ -182,7 +182,7 @@ class RuntimeMonitor:
     Lifecycle: the executor calls :meth:`attach` with the plan and its
     cost model before building operators; each
     :class:`~repro.exec.operators.MonitoredOperator` calls
-    :meth:`activate` at construction and :meth:`on_row`/:meth:`on_done`
+    :meth:`activate` at construction and :meth:`on_rows`/:meth:`on_done`
     per pull; ``evaluate_predicate`` calls :meth:`observe_predicate`
     per verdict; the executor finishes with :meth:`complete` (success)
     or :meth:`freeze` (DNF). All callbacks are cheap tallies — no
@@ -277,7 +277,7 @@ class RuntimeMonitor:
         """Pin progress at its current value with a structured reason.
 
         Called by the executor when a run dies (budget DNF, UDF abort).
-        Idempotent; later :meth:`complete`/:meth:`on_row` calls cannot
+        Idempotent; later :meth:`complete`/:meth:`on_rows` calls cannot
         thaw a frozen run.
         """
         if self.state == "aborted":
@@ -316,46 +316,19 @@ class RuntimeMonitor:
             self.operators[key] = operator
         operator.active = True
 
-    def on_row(self, key: int, seconds: float) -> None:
-        operator = self.operators.get(key)
-        if operator is None or self.state == "aborted":
-            return
-        operator.rows_out += 1
-        if operator.rows_out > operator.estimated_rows:
-            # The estimate was too low; grow it so the capped fraction
-            # keeps inching up instead of flatlining.
-            operator.estimated_rows = (
-                operator.rows_out / PROGRESS_RUNNING_CAP
-            )
-        fraction = min(
-            operator.rows_out / operator.estimated_rows,
-            PROGRESS_RUNNING_CAP,
-        )
-        if fraction > operator.fraction:
-            operator.fraction = fraction
-        histogram = self.latency.get(key)
-        if histogram is None:
-            histogram = self.latency[key] = StreamingHistogram()
-        histogram.observe(seconds)
-        self._events += 1
-        if (
-            self.refresh_callback is not None
-            and self._events % self.refresh_every == 0
-        ):
-            self.refresh_callback(self)
-
     def on_rows(self, key: int, count: int, seconds: float) -> None:
-        """Bulk row report: one batch of ``count`` rows pulled in
-        ``seconds`` — the vector executor's equivalent of ``count``
-        :meth:`on_row` calls. Progress stays monotone (same max-clamp
-        and estimate-growth rules); the latency histogram records one
-        batch-level sample, which is fine because pull-latency
-        histograms are export-only and never gated."""
+        """One pull's report: ``count`` rows (1 on the row engine, a
+        batch on the vector engine) took ``seconds``. Progress stays
+        monotone; the latency histogram records one sample per pull,
+        which is fine because pull-latency histograms are export-only
+        and never gated."""
         operator = self.operators.get(key)
         if operator is None or self.state == "aborted" or count <= 0:
             return
         operator.rows_out += count
         if operator.rows_out > operator.estimated_rows:
+            # The estimate was too low; grow it so the capped fraction
+            # keeps inching up instead of flatlining.
             operator.estimated_rows = (
                 operator.rows_out / PROGRESS_RUNNING_CAP
             )
@@ -415,7 +388,7 @@ class RuntimeMonitor:
         """Bulk verdict report from the vector executor: ``evaluated``
         evaluations of which ``passed`` were true, with ``charges`` the
         per-evaluation charged costs for the histogram (may be shorter
-        than ``evaluated`` — e.g. empty for a hash-matched free equijoin,
+        than ``evaluated`` — e.g. empty for a free column comparison,
         where every charge is zero). Refines the owning node's estimate
         once per batch instead of at power-of-two milestones."""
         if evaluated <= 0:

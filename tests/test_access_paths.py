@@ -3,13 +3,13 @@
 import pytest
 
 from repro.catalog.datagen import build_database
-from repro.exec import Executor
+from repro.exec import EXECUTORS
 from repro.expr.expressions import Column, Comparison, Const
 from repro.expr.predicates import analyze_conjunct
 from repro.optimizer import Query, optimize
 from repro.optimizer.joinutil import index_access
 from repro.plan.nodes import Scan
-from tests.conftest import costly_filter
+from tests.conftest import costly_filter, execute_on
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,9 @@ class TestAccessPathChoice:
         assert isinstance(plan.root, Scan)
         assert plan.root.index_attr == "a1"
         assert plan.root.index_range == (5, 5)
+        for executor in EXECUTORS:
+            result = execute_on(wide_db, plan, executor)
+            assert result.column("t10", "a1") == [5]
 
     def test_unselective_range_uses_seq_scan(self, wide_db):
         query = Query(
@@ -98,11 +101,12 @@ class TestAccessPathChoice:
             predicates=[comparison(wide_db, "t10", "a20", "=", 3)],
         )
         plan = optimize(wide_db, query, strategy="migration").plan
-        result = Executor(wide_db).execute(plan)
         entry = wide_db.catalog.table("t10")
         slot = entry.schema.position("a20")
         expected = [r for r in entry.heap.all_rows() if r[slot] == 3]
-        assert sorted(result.rows) == sorted(expected)
+        for executor in EXECUTORS:
+            result = execute_on(wide_db, plan, executor)
+            assert sorted(result.rows) == sorted(expected)
 
     def test_index_path_cheaper_when_chosen(self, wide_db):
         from repro.cost.model import CostModel
@@ -145,6 +149,9 @@ class TestAccessPathChoice:
         ] + [("t10", n) for n in t10.schema.attribute_names]
         for strategy in ("migration", "pushdown"):
             plan = optimize(wide_db, query, strategy=strategy).plan
-            result = Executor(wide_db).execute(plan, project=canonical)
-            assert result.completed
-            assert sorted(result.rows) == expected
+            for executor in EXECUTORS:
+                result = execute_on(
+                    wide_db, plan, executor, project=canonical
+                )
+                assert result.completed
+                assert sorted(result.rows) == expected

@@ -127,6 +127,13 @@ class TestEquivalence:
         assert adaptive.charged == static.charged
         assert _rows(adaptive) == _rows(static)
 
+    def test_vector_request_reports_the_row_engine_it_ran_on(self):
+        db = build_database(scale=SCALE, seed=SEED)
+        result = Executor(
+            db, adaptive=AdaptivePolicy(), executor="vector"
+        ).execute(_optimized(db, "adapt_honest"), instrument=True)
+        assert result.batch_stats is None
+
     def test_replanned_run_same_rows_lower_charge(self):
         static = _run("adapt_drift", adaptive=False)
         adaptive = _run("adapt_drift", adaptive=True)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
-from repro.exec import Executor
+from repro.exec import EXECUTORS, Executor
 from repro.exec.operators import RuntimeContext, build_operator
 from repro.plan.nodes import Join, JoinMethod, Plan, Scan
-from tests.conftest import costly_filter, equijoin
+from tests.conftest import costly_filter, equijoin, execute_on
 
 
 def reference_join(db, outer, inner, outer_col, inner_col):
@@ -41,35 +41,51 @@ def join_plan(db, method, outer="t2", inner="t3",
     ))
 
 
+#: Every join method on every engine. A row case keeps the id it had
+#: before the vector engine ran these plans (``[JoinMethod.HASH]``).
+method_on_engine = pytest.mark.parametrize(
+    "method,executor",
+    [
+        pytest.param(
+            method,
+            executor,
+            id=str(method) if executor == "row" else f"{method}-{executor}",
+        )
+        for method in JoinMethod
+        for executor in EXECUTORS
+    ],
+)
+
+
 class TestJoinMethodEquivalence:
-    @pytest.mark.parametrize("method", list(JoinMethod))
-    def test_matches_reference(self, tiny_db, method):
+    @method_on_engine
+    def test_matches_reference(self, tiny_db, method, executor):
         plan = join_plan(tiny_db, method)
-        result = Executor(tiny_db).execute(plan)
+        result = execute_on(tiny_db, plan, executor)
         assert result.completed
         assert sorted(result.rows) == reference_join(
             tiny_db, "t2", "t3", "ua1", "a1"
         )
 
-    @pytest.mark.parametrize("method", list(JoinMethod))
-    def test_duplicate_join_keys(self, tiny_db, method):
+    @method_on_engine
+    def test_duplicate_join_keys(self, tiny_db, method, executor):
         # t3.ua20 repeats each value ~20 times: real duplicate handling.
         plan = join_plan(
             tiny_db, method, outer="t2", inner="t3",
             outer_col="ua1", inner_col="a20",
         )
-        result = Executor(tiny_db).execute(plan)
+        result = execute_on(tiny_db, plan, executor)
         assert sorted(result.rows) == reference_join(
             tiny_db, "t2", "t3", "ua1", "a20"
         )
 
-    @pytest.mark.parametrize("method", list(JoinMethod))
-    def test_filters_anywhere_same_answer(self, tiny_db, method):
+    @method_on_engine
+    def test_filters_anywhere_same_answer(self, tiny_db, method, executor):
         predicate = costly_filter(tiny_db, "costly100", ("t3", "u20"))
         below = join_plan(tiny_db, method, inner_filters=[predicate])
         above = join_plan(tiny_db, method, filters=[predicate])
-        rows_below = Executor(tiny_db).execute(below).rows
-        rows_above = Executor(tiny_db).execute(above).rows
+        rows_below = execute_on(tiny_db, below, executor).rows
+        rows_above = execute_on(tiny_db, above, executor).rows
         assert sorted(rows_below) == sorted(rows_above)
 
 
@@ -181,15 +197,17 @@ class TestIndexScan:
         plan = Plan(Scan(
             filters=[], table="t3", index_attr="a1", index_range=(5, 9)
         ))
-        result = Executor(tiny_db).execute(plan)
-        assert sorted(result.column("t3", "a1")) == [5, 6, 7, 8, 9]
+        for executor in EXECUTORS:
+            result = execute_on(tiny_db, plan, executor)
+            assert sorted(result.column("t3", "a1")) == [5, 6, 7, 8, 9]
 
     def test_index_scan_missing_index_fails(self, tiny_db):
         plan = Plan(Scan(
             filters=[], table="t3", index_attr="ua1", index_range=(0, 5)
         ))
-        with pytest.raises(ExecutionError):
-            Executor(tiny_db).execute(plan)
+        for executor in EXECUTORS:
+            with pytest.raises(ExecutionError):
+                execute_on(tiny_db, plan, executor)
 
 
 class TestNestedLoopCharging:
@@ -220,10 +238,11 @@ class TestPropertyEquivalence:
         outer=st.sampled_from(["t1", "t2"]),
         inner=st.sampled_from(["t2", "t3"]),
         inner_col=st.sampled_from(["a1", "a20"]),
+        executor=st.sampled_from(EXECUTORS),
     )
     @settings(max_examples=20, deadline=None)
     def test_random_joins_match_reference(
-        self, tiny_db, method, outer, inner, inner_col
+        self, tiny_db, method, outer, inner, inner_col, executor
     ):
         if outer == inner:
             return
@@ -231,7 +250,7 @@ class TestPropertyEquivalence:
             tiny_db, method, outer=outer, inner=inner,
             outer_col="ua1", inner_col=inner_col,
         )
-        result = Executor(tiny_db).execute(plan)
+        result = execute_on(tiny_db, plan, executor)
         assert sorted(result.rows) == reference_join(
             tiny_db, outer, inner, "ua1", inner_col
         )

@@ -106,6 +106,13 @@ def test_injection_is_the_only_mover():
     optimized = optimize(db, query, strategy="pushdown")
     collector = FeedbackCollector()
     Executor(db, collector=collector).execute(optimized.plan)
+    # The vector engine reports per batch (``observe_batch``); the
+    # tallies are the row engine's.
+    batched = FeedbackCollector()
+    Executor(db, collector=batched, executor="vector").execute(
+        optimized.plan
+    )
+    assert batched.observations() == collector.observations()
     store.record_epoch(
         collector.observations(), strategy="pushdown", scale=20, seed=42
     )

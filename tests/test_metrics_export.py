@@ -177,7 +177,7 @@ monitor.attach(optimized.plan, CostModel(db.catalog, db.params))
 for key in list(monitor.operators):
     monitor.activate(key)
     for _ in range(3):
-        monitor.on_row(key, 0.5)
+        monitor.on_rows(key, 1, 0.5)
     monitor.on_done(key, 0.25)
 monitor.complete()
 sys.stdout.write(build_export(monitors={"q1": monitor}).render())

@@ -38,8 +38,8 @@ class ProbeMonitor(RuntimeMonitor):
         self.low_water = current
         self.samples += 1
 
-    def on_row(self, key, seconds):
-        super().on_row(key, seconds)
+    def on_rows(self, key, count, seconds):
+        super().on_rows(key, count, seconds)
         self._check()
 
     def on_done(self, key, seconds):
@@ -93,7 +93,7 @@ def test_budget_freeze_pins_progress(db):
     frozen = monitor.progress()
     assert 0.0 <= frozen < 1.0
     # Frozen means frozen: neither reads nor late events thaw it.
-    monitor.on_row(next(iter(monitor.operators)), 0.0)
+    monitor.on_rows(next(iter(monitor.operators)), 1, 0.0)
     monitor.complete()
     assert monitor.progress() == frozen
     assert monitor.state == "aborted"
