@@ -9,7 +9,6 @@ Examples::
     python -m repro --workload q4 --compare --strategies all
     python -m repro --workload q1 --compare --record artifacts/
     python -m repro bench-diff benchmarks/baselines artifacts/
-    python -m repro opt-speed --scale 10 --out artifacts/OPTSPEED.json
     python -m repro why q4 --strategy migration
     python -m repro plan-diff q4 pushdown migration
     python -m repro chaos q4 --seed 7
@@ -40,20 +39,11 @@ VERBS = {
     "bench-history": "repro.cli.bench_history",
     "chaos": "repro.cli.chaos",
     "drift": "repro.cli.drift",
-    "opt-speed": "repro.cli.opt_speed",
     "plan-diff": "repro.cli.plan_diff",
     "postmortem": "repro.cli.postmortem",
     "stats": "repro.cli.stats",
     "top": "repro.cli.top",
-    "vec-speed": "repro.cli.vec_speed",
     "why": "repro.cli.why",
-}
-
-#: The two-word spellings ``repro bench <what>``.
-BENCH_VERBS = {
-    "adapt": "bench-adapt",
-    "opt-speed": "opt-speed",
-    "vec-speed": "vec-speed",
 }
 
 #: Without a verb the arguments are the run grammar
@@ -86,8 +76,6 @@ def __getattr__(name: str):
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) > 1 and argv[0] == "bench" and argv[1] in BENCH_VERBS:
-        argv[:2] = [BENCH_VERBS[argv[1]]]
     if argv and not argv[0].startswith("-"):
         module = VERBS.get(argv[0])
         if module is None:
@@ -95,9 +83,8 @@ def main(argv: list[str] | None = None) -> int:
             # verb: a usage error, argparse's exit code.
             print(
                 f"error: unknown command {argv[0]!r}; choose from "
-                f"{', '.join(sorted(VERBS))} (or 'bench' followed by "
-                f"{', '.join(sorted(BENCH_VERBS))}), or pass --sql/--workload "
-                "to run a query",
+                f"{', '.join(sorted(VERBS))}, or pass --sql/--workload to "
+                "run a query",
                 file=sys.stderr,
             )
             return 2

@@ -27,13 +27,4 @@ __all__ = lazy_exports(globals(), {
     "applicability": ("applicability_matrix", "format_matrix"),
     "accuracy": ("format_accuracy", "measure_accuracy", "worst_q_error"),
     "stress": ("StressReport", "stress_optimizer"),
-    "optspeed": (
-        "OptSpeedSample",
-        "chain_sql",
-        "compare_runs",
-        "format_payload",
-        "measure",
-        "run_payload",
-    ),
-    "vecspeed": ("VecSpeedSample",),
 })

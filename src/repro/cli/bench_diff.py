@@ -43,14 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0.10)",
     )
     parser.add_argument(
-        "--max-time-regress",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="also gate on planning-time growth beyond FRAC (default: "
-        "report only — wall-clock is not comparable across machines)",
-    )
-    parser.add_argument(
         "--max-error-widen",
         type=float,
         default=0.10,
@@ -160,7 +152,6 @@ def main(argv: list[str], out=None) -> int:
                     baseline,
                     candidate,
                     max_regress=args.max_regress,
-                    max_time_regress=args.max_time_regress,
                     max_error_widen=args.max_error_widen,
                 )
             )

@@ -4,9 +4,9 @@ Four small pieces:
 
 * :mod:`repro.obs.tracer` — span-based decision traces with JSONL export
   and a zero-overhead :class:`NullTracer` default;
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of named counters,
-  timers, gauges, and histograms, plus :func:`record_run` which mirrors one
-  optimize/execute round under uniform ``plan.*`` / ``exec.*`` names;
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of named gauges,
+  plus :func:`record_run` which mirrors one optimize/execute round under
+  uniform ``plan.*`` / ``exec.*`` names;
 * :mod:`repro.obs.profile` — a :class:`PhaseProfiler` accumulating
   wall-clock per optimizer/executor phase (enumeration levels, fixpoint
   rounds, DP steps, operators) with a ``top_hotspots`` report and a
@@ -87,13 +87,7 @@ __all__ = lazy_exports(globals(), {
         "write_flight_dump",
     ),
     "histograms": ("DEFAULT_QUANTILES", "StreamingHistogram"),
-    "metrics": (
-        "Counter",
-        "Histogram",
-        "MetricsRegistry",
-        "Timer",
-        "record_run",
-    ),
+    "metrics": ("MetricsRegistry", "record_run"),
     "provenance": (
         "Counterfactual",
         "CounterfactualReport",

@@ -436,7 +436,6 @@ def diff_artifacts(
     candidate: dict,
     *,
     max_regress: float = 0.10,
-    max_time_regress: float | None = None,
     max_error_widen: float | None = 0.10,
 ) -> list[Finding]:
     """Compare two run artifacts strategy-by-strategy.
@@ -448,12 +447,11 @@ def diff_artifacts(
     * estimation error widened (``abs`` grew) by more than
       ``max_error_widen`` (absolute, fractional error units; ``None``
       reports only);
-    * planning time grew by more than ``max_time_regress`` (``None`` —
-      the default — reports only, because wall-clock is not comparable
-      across machines);
     * a baseline strategy disappeared, errored, or flipped to DNF.
 
-    Improvements and newly added strategies are ``note`` findings.
+    Improvements and newly added strategies are ``note`` findings, and so
+    is a planning time that moved by more than half: wall-clock is not
+    comparable across machines, so it never gates.
     """
     workload = str(candidate.get("workload", baseline.get("workload", "?")))
     findings: list[Finding] = []
@@ -575,23 +573,14 @@ def diff_artifacts(
             _as_float(base.get("planning_seconds")),
             _as_float(cand.get("planning_seconds")),
         )
-        if time_delta is not None:
-            if max_time_regress is not None and time_delta > max_time_regress:
-                findings.append(
-                    Finding(
-                        "regression", workload, strategy, "planning_time",
-                        f"planning time regressed {time_delta:+.1%} "
-                        f"(limit {max_time_regress:.0%})",
-                    )
+        if time_delta is not None and abs(time_delta) > 0.5:
+            findings.append(
+                Finding(
+                    "note", workload, strategy, "planning_time",
+                    f"planning time changed {time_delta:+.1%} "
+                    "(wall-clock; not gated)",
                 )
-            elif abs(time_delta) > 0.5:
-                findings.append(
-                    Finding(
-                        "note", workload, strategy, "planning_time",
-                        f"planning time changed {time_delta:+.1%} "
-                        "(wall-clock; not gated by default)",
-                    )
-                )
+            )
 
         base_err = _as_float(base.get("estimation_error"))
         cand_err = _as_float(cand.get("estimation_error"))

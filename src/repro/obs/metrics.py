@@ -1,4 +1,4 @@
-"""A registry of named counters, timers, gauges, and histograms.
+"""A registry of named gauges.
 
 The unified instrumentation surface for the reproduction: planner decision
 counts, executor charge ledgers, and wall-clock timings all land here under
@@ -19,101 +19,12 @@ them into the registry under the uniform names.
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing named count."""
-
-    name: str
-    value: float = 0.0
-
-    def incr(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-@dataclass
-class Timer:
-    """Accumulated wall-clock time; usable as a context manager."""
-
-    name: str
-    seconds: float = 0.0
-    count: int = 0
-    _started: float | None = field(default=None, repr=False)
-
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        assert self._started is not None
-        self.record(time.perf_counter() - self._started)
-        self._started = None
-        return False
-
-    def record(self, seconds: float) -> None:
-        self.seconds += seconds
-        self.count += 1
-
-
-@dataclass
-class Histogram:
-    """A set of observed values with summary statistics."""
-
-    name: str
-    values: list[float] = field(default_factory=list)
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else math.nan
-
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile; ``fraction`` in [0, 1]."""
-        if not self.values:
-            return math.nan
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        ordered = sorted(self.values)
-        index = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[index]
-
 
 class MetricsRegistry:
-    """Named counters, timers, gauges, and histograms behind one snapshot."""
+    """Named gauges behind one snapshot."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._timers: dict[str, Timer] = {}
         self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def timer(self, name: str) -> Timer:
-        timer = self._timers.get(name)
-        if timer is None:
-            timer = self._timers[name] = Timer(name)
-        return timer
-
-    def histogram(self, name: str) -> Histogram:
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(name)
-        return histogram
 
     def gauge(self, name: str, value: float) -> None:
         """Set a point-in-time value (last write wins)."""
@@ -121,22 +32,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict[str, float]:
         """One flat dict of every metric, dotted-name keyed."""
-        out: dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, value in self._gauges.items():
-            out[name] = value
-        for name, timer in self._timers.items():
-            out[f"{name}.seconds"] = timer.seconds
-            out[f"{name}.count"] = timer.count
-        for name, histogram in self._histograms.items():
-            out[f"{name}.count"] = histogram.count
-            out[f"{name}.mean"] = histogram.mean
-            out[f"{name}.p50"] = histogram.percentile(0.50)
-            out[f"{name}.p95"] = histogram.percentile(0.95)
-            if histogram.values:
-                out[f"{name}.max"] = max(histogram.values)
-        return out
+        return dict(self._gauges)
 
 
 def record_run(

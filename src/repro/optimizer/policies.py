@@ -91,22 +91,25 @@ class PlacementPolicy:
         self, scan: Scan, selections: list[Predicate], model: CostModel
     ) -> None:
         scan.filters = rank_sorted(selections)
-        if self.ledger.enabled and selections:
+        recording = self.ledger.enabled
+        if recording and selections:
             self.ledger.record(
                 "scan.rank_order",
                 table=scan.table,
                 order=[str(p) for p in scan.filters],
                 ranks=[p.rank for p in scan.filters],
             )
-            # Disjunctive conjuncts additionally record their intra-tree
-            # short-circuit order (Kim/Ileri/Madden generalisation): the
-            # tree's children were rank-ordered at analysis time and its
-            # cost_per_tuple is the expected short-circuit cost. Only
-            # emitted when a boolean tree is present, so conjunctive
-            # workloads' provenance is byte-identical.
-            for predicate in scan.filters:
-                if predicate.is_compound:
-                    self.count("disjunctions_ordered")
+        # Disjunctive conjuncts additionally record their intra-tree
+        # short-circuit order (Kim/Ileri/Madden generalisation): the
+        # tree's children were rank-ordered at analysis time and its
+        # cost_per_tuple is the expected short-circuit cost. Only
+        # emitted when a boolean tree is present, so conjunctive
+        # workloads' provenance is byte-identical. The count is a plan
+        # note, so it does not depend on whether a ledger is attached.
+        for predicate in scan.filters:
+            if predicate.is_compound:
+                self.count("disjunctions_ordered")
+                if recording:
                     self.ledger.record(
                         "scan.disjunction_order",
                         table=scan.table,

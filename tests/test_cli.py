@@ -6,7 +6,7 @@ import json
 import pytest
 
 import repro
-from repro.__main__ import BENCH_VERBS, VERBS, build_parser, main
+from repro.__main__ import VERBS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -254,85 +254,6 @@ class TestRecordAndDiff:
         assert "not valid JSON" in err
 
 
-class TestOptSpeed:
-    ARGS = (
-        "--scale", "5", "--repeats", "1", "--tables", "2",
-        "--strategies", "pushdown,exhaustive",
-    )
-
-    def test_table_and_json_artifact(self, capsys, tmp_path):
-        out_file = tmp_path / "OPTSPEED.json"
-        code, out, err = run_cli(
-            capsys, "opt-speed", *self.ARGS, "--out", str(out_file)
-        )
-        assert code == 0
-        assert "== opt-speed" in out
-        assert "exhaustive" in out
-        payload = json.loads(out_file.read_text(encoding="utf-8"))
-        assert payload["bench"] == "opt-speed"
-        assert {s["strategy"] for s in payload["samples"]} == {
-            "pushdown", "exhaustive",
-        }
-        assert all(s["median_ms"] > 0 for s in payload["samples"])
-        assert "opt-speed artifact" in err
-
-    def test_bench_opt_speed_spelling(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "opt-speed", *self.ARGS)
-        assert code == 0
-        assert "== opt-speed" in out
-
-    def test_baseline_regression_warns_but_exits_zero(
-        self, capsys, tmp_path
-    ):
-        out_file = tmp_path / "OPTSPEED.json"
-        code, _, _ = run_cli(
-            capsys, "opt-speed", *self.ARGS, "--out", str(out_file)
-        )
-        assert code == 0
-        baseline = json.loads(out_file.read_text(encoding="utf-8"))
-        # An impossibly fast baseline forces a >25% regression warning.
-        for sample in baseline["samples"]:
-            sample["median_ms"] = 1e-6
-        fast = tmp_path / "fast.json"
-        fast.write_text(json.dumps(baseline), encoding="utf-8")
-        code, out, _ = run_cli(
-            capsys, "opt-speed", *self.ARGS, "--baseline", str(fast)
-        )
-        assert code == 0
-        assert "regressed" in out
-        assert "informational" in out
-
-    def test_baseline_clean_pass(self, capsys, tmp_path):
-        out_file = tmp_path / "OPTSPEED.json"
-        run_cli(capsys, "opt-speed", *self.ARGS, "--out", str(out_file))
-        # Compared against an impossibly slow baseline nothing can regress.
-        baseline = json.loads(out_file.read_text(encoding="utf-8"))
-        for sample in baseline["samples"]:
-            sample["median_ms"] = 1e9
-        slow = tmp_path / "slow.json"
-        slow.write_text(json.dumps(baseline), encoding="utf-8")
-        code, out, _ = run_cli(
-            capsys, "opt-speed", *self.ARGS, "--baseline", str(slow)
-        )
-        assert code == 0
-        assert "no planning-time regressions" in out
-
-    def test_unreadable_baseline_exit_two(self, capsys, tmp_path):
-        missing = tmp_path / "nope.json"
-        code, _, err = run_cli(
-            capsys, "opt-speed", *self.ARGS, "--baseline", str(missing)
-        )
-        assert code == 2
-        assert "cannot read baseline" in err
-
-    def test_bad_strategy_exit_two(self, capsys):
-        code, _, err = run_cli(
-            capsys, "opt-speed", "--strategies", "nope", "--scale", "5"
-        )
-        assert code == 2
-        assert "unknown strategies" in err
-
-
 class TestWhy:
     def test_explains_expensive_predicate(self, capsys):
         code, out, _ = run_cli(
@@ -514,7 +435,11 @@ class TestPostmortem:
 
 class TestDispatch:
     @pytest.mark.parametrize(
-        "argv", [["chaoss", "q1"], ["bench"], ["bench", "bogus"], ["q1"]]
+        "argv",
+        [
+            ["chaoss", "q1"], ["bench"], ["bench", "bogus"], ["q1"],
+            ["opt-speed"], ["vec-speed"], ["bench", "adapt"],
+        ],
     )
     def test_unknown_command_exits_2_naming_the_verbs(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -530,7 +455,6 @@ class TestDispatch:
             module = importlib.import_module(name)
             assert module.build_parser().prog == f"repro {verb}"
             assert callable(module.main)
-        assert set(BENCH_VERBS.values()) <= set(VERBS)
 
     def test_help_lists_the_verbs(self, capsys):
         with pytest.raises(SystemExit) as exit_:

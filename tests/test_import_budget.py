@@ -25,8 +25,6 @@ OPTIONAL = (
     "repro.faults.chaos",
     "repro.faults.injector",
     "repro.adaptive.controller",
-    "repro.bench.optspeed",
-    "repro.bench.vecspeed",
     "repro.obs.artifacts",
     "repro.obs.export",
     "repro.obs.chrome",

@@ -121,7 +121,7 @@ def db():
 
 def test_build_export_registry_gauges():
     registry = MetricsRegistry()
-    registry.counter("exec.rows").incr(5)
+    registry.gauge("exec.rows", 5)
     registry.gauge("plan.cost", 12.5)
     text = build_export(registry=registry).render()
     assert "repro_exec_rows 5" in text

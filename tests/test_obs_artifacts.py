@@ -279,8 +279,6 @@ class TestDiff:
         findings = diff_artifacts(artifact, slower)
         assert not has_regressions(findings)
         assert any(f.kind == "planning_time" for f in findings)
-        gated = diff_artifacts(artifact, slower, max_time_regress=0.5)
-        assert has_regressions(gated)
 
     def test_scale_mismatch_noted(self, artifact):
         other = copy.deepcopy(artifact)

@@ -1,7 +1,5 @@
 """The default (untraced) path must not pay for the tracing subsystem."""
 
-import time
-
 import repro.obs.tracer as tracer_module
 from repro import Executor, compile_query, optimize
 from repro.obs import NullTracer
@@ -20,7 +18,7 @@ def _plan_and_run(db, query, tracer=None):
 
 def test_default_path_constructs_zero_spans(db, monkeypatch):
     """The acceptance bar: no Span object is ever built unless a real
-    Tracer was passed in."""
+    Tracer was passed in — by default or with an explicit NullTracer."""
     constructed = []
     original_init = tracer_module.Span.__init__
 
@@ -32,29 +30,8 @@ def test_default_path_constructs_zero_spans(db, monkeypatch):
     query = compile_query(db, SQL, name="overhead-spans")
     _plan_and_run(db, query)  # tracer defaults to NULL_TRACER
     assert constructed == []
+    _plan_and_run(db, query, tracer=NullTracer())
+    assert constructed == []
 
     _plan_and_run(db, query, tracer=tracer_module.Tracer())
     assert constructed  # sanity: the counter does fire when traced
-
-
-def test_null_tracer_within_noise_of_default(db):
-    """Passing an explicit NullTracer runs the identical code path as the
-    default; min-of-N wall times must agree within generous noise."""
-    query = compile_query(db, SQL, name="overhead-noise")
-    _plan_and_run(db, query)  # warm up caches/pools
-
-    def min_of(tracer, repeats=5):
-        times = []
-        for _ in range(repeats):
-            started = time.perf_counter()
-            _plan_and_run(db, query, tracer=tracer)
-            times.append(time.perf_counter() - started)
-        return min(times)
-
-    baseline = min_of(None)
-    nulled = min_of(NullTracer())
-    assert nulled <= baseline * 5 + 0.05
-
-    # bench_opt_time.py-style absolute bar: a full plan-and-run of the
-    # 3-way migration query stays far under the paper's 8-second budget.
-    assert baseline < 8.0

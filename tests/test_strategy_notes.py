@@ -3,7 +3,8 @@
 import pytest
 
 from repro import STRATEGIES, compile_query, optimize
-from repro.obs import Tracer
+from repro.bench import DEFAULT_STRATEGIES, build_workload
+from repro.obs import NULL_LEDGER, ProvenanceLedger, Tracer
 
 SQL3 = (
     "SELECT * FROM t3, t6, t10 "
@@ -41,6 +42,16 @@ class TestNotesContract:
             span.name for span in tracer.children_of(optimize_span)
         }
         assert phase_names, f"{strategy} recorded no phase spans"
+
+
+@pytest.mark.parametrize("strategy", DEFAULT_STRATEGIES)
+def test_notes_do_not_depend_on_the_ledger(db, strategy):
+    query = build_workload(db, "qor").query
+    silent = optimize(db, query, strategy=strategy, ledger=NULL_LEDGER)
+    recorded = optimize(
+        db, query, strategy=strategy, ledger=ProvenanceLedger()
+    )
+    assert silent.notes == recorded.notes
 
 
 class TestStrategySpecificNotes:
