@@ -66,7 +66,51 @@ def synthetic_boolean(selectivity: float, seed: int = 0) -> Callable[..., bool]:
             for args in bindings
         ]
 
+    def pairs(inner: list, position: int) -> Callable[[object], list[bool]]:
+        """Curried pair form, for a two-argument call inside a nested
+        loop: ``inner`` is the inner side's value column, argument
+        ``position`` (0 or 1) of every call. The result maps one outer
+        value to one verdict per inner value, equal to ``predicate(iv,
+        ov)`` (``predicate(ov, iv)`` at position 1) per element. The
+        payload ``"(seed, <a>, <b>)"`` splits after ``", "`` and
+        ``crc32(suffix, crc32(prefix)) == crc32(prefix + suffix)``, so
+        the half that depends on the inner value alone is formatted,
+        encoded and (at position 0) hashed once per join instead of once
+        per pair."""
+        if position not in (0, 1):
+            raise ValueError(
+                f"the pair form serves two-argument calls, got an inner "
+                f"column at argument position {position}"
+            )
+        crc32 = zlib.crc32
+        buckets = _HASH_BUCKETS
+        head = "(%r, " % (seed,)
+        if position == 0:
+            prefixes = [
+                crc32((head + "%r, " % (value,)).encode()) for value in inner
+            ]
+
+            def verdicts(outer_value: object) -> list[bool]:
+                suffix = ("%r)" % (outer_value,)).encode()
+                return [
+                    crc32(suffix, prefix) % buckets < threshold
+                    for prefix in prefixes
+                ]
+
+        else:
+            suffixes = [("%r)" % (value,)).encode() for value in inner]
+
+            def verdicts(outer_value: object) -> list[bool]:
+                prefix = crc32((head + "%r, " % (outer_value,)).encode())
+                return [
+                    crc32(suffix, prefix) % buckets < threshold
+                    for suffix in suffixes
+                ]
+
+        return verdicts
+
     predicate.batch = batch
+    predicate.pairs = pairs
     return predicate
 
 
@@ -91,20 +135,49 @@ class UserFunction:
         self.calls += 1
         return self.fn(*args)
 
+    @property
+    def batch_form(self) -> Callable[[list[tuple]], list[bool]] | None:
+        """The implementation's vectorized ``batch`` form, or ``None``.
+
+        Call forms live on ``fn`` (as :func:`synthetic_boolean` attaches
+        them), so whatever replaces ``fn`` — a fault-injector wrapper, a
+        user lambda — strips them, and dispatch falls back to the scalar
+        form with the per-call ``calls`` index the injector's schedule
+        relies on. These accessors are the one place that looks for a
+        form; a form returns exactly what the scalar form returns per
+        argument tuple and leaves counting and charging to its caller."""
+        return getattr(self.fn, "batch", None)
+
     def call_batch(self, bindings: list[tuple]) -> list[object]:
         """Invoke the function once per argument tuple, amortising
-        dispatch when the implementation provides a vectorized ``batch``
-        form (as :func:`synthetic_boolean` does; a ``batch`` form must
-        return one ``bool`` per binding). Counts every element as one
-        invocation either way. Falls back to per-call dispatch whenever
-        ``fn`` lacks a ``batch`` attribute — in particular, a
-        fault-injector wrapper replaces ``fn`` and relies on the
-        per-call ``calls`` index, and the fallback preserves it."""
-        batch = getattr(self.fn, "batch", None)
+        dispatch when the implementation provides a ``batch`` form (one
+        ``bool`` per binding). Counts every element as one invocation
+        either way; without the form, dispatch is per call."""
+        batch = self.batch_form
         if batch is None:
             return [self(*args) for args in bindings]
         self.calls += len(bindings)
         return batch(bindings)
+
+    def pair_form(
+        self, inner: list, position: int
+    ) -> Callable[[object], list[bool]] | None:
+        """The implementation's curried ``pairs`` form prepared over one
+        join's inner value column (argument ``position`` of a
+        two-argument call), or ``None`` when ``fn`` carries none. The
+        result maps one outer value to one verdict per inner value and
+        counts ``len(inner)`` invocations each time it is called."""
+        pairs = getattr(self.fn, "pairs", None)
+        if pairs is None:
+            return None
+        verdicts = pairs(inner, position)
+        count = len(inner)
+
+        def call(outer_value: object) -> list[bool]:
+            self.calls += count
+            return verdicts(outer_value)
+
+        return call
 
     def reset(self) -> None:
         self.calls = 0

@@ -329,7 +329,7 @@ class PredicateRunner:
             == list(predicate.input_columns())
         ):
             function = ctx.catalog.functions.get(expr.name)
-            if getattr(function.fn, "batch", None) is not None:
+            if function.batch_form is not None:
                 self._direct_function = function
         # Free column-vs-constant comparisons (`t10.a20 < 5`) evaluate
         # column-at-a-time: one packed-column scan into the mask, no
@@ -458,6 +458,48 @@ class PredicateRunner:
         ):
             ctx.meter.charge_function(predicate.cost_per_tuple, n)
         return mask
+
+    def pair_evaluator(
+        self, inner_vals: list, position: int
+    ) -> Callable[[object], bytearray | list[bool]]:
+        """For a nested-loop primary reading one column per side: a
+        function from an outer row's value to the selection mask over
+        the inner rows, whose values ``inner_vals`` are binding column
+        ``position``.
+
+        A direct, uncached, unobserved function call takes the
+        function's curried pair form when it has one — the verdicts,
+        count and per-outer-row charge (evaluate, then charge, so a
+        budget abort strikes at the same outer row) are those of
+        :meth:`evaluate_bindings`, minus the binding tuples and the
+        per-pair re-hash of the inner value. Everything else builds the
+        outer row's bindings and goes through :meth:`evaluate_bindings`.
+        """
+        ctx = self.ctx
+        if (
+            self._direct_function is not None
+            and not self.caching
+            and ctx.collector is None
+            and ctx.monitor is None
+        ):
+            verdicts = self._direct_function.pair_form(inner_vals, position)
+            if verdicts is not None:
+                if not self.predicate.is_expensive:
+                    return verdicts
+                charge = ctx.meter.charge_function
+                cost = self.predicate.cost_per_tuple
+                count = len(inner_vals)
+
+                def charged_verdicts(outer_value: object) -> list[bool]:
+                    mask = verdicts(outer_value)
+                    charge(cost, count)
+                    return mask
+
+                return charged_verdicts
+        evaluate = self.evaluate_bindings
+        if position == 0:
+            return lambda ov: evaluate([(iv, ov) for iv in inner_vals])
+        return lambda ov: evaluate([(ov, iv) for iv in inner_vals])
 
     def _evaluate_observed(self, bindings: list[tuple]) -> bytearray:
         """Attached regime: bracket each evaluation with the meter's
@@ -666,11 +708,15 @@ class _BatchBuilder:
         self.rows: list[tuple] = []
 
     def drain(self) -> Iterator[ColumnBatch]:
-        # Mutate in place: callers hold aliases to ``self.rows``.
-        while len(self.rows) >= self.batch_rows:
-            chunk = self.rows[: self.batch_rows]
-            del self.rows[: self.batch_rows]
-            yield ColumnBatch.from_rows(self.scope, chunk)
+        rows = self.rows
+        size = self.batch_rows
+        full = len(rows) - len(rows) % size
+        for start in range(0, full, size):
+            yield ColumnBatch.from_rows(self.scope, rows[start : start + size])
+        # One front-deletion for all emitted chunks (one per chunk is
+        # quadratic in the pending rows), and in place: callers hold
+        # aliases to ``self.rows``.
+        del rows[:full]
 
     def flush(self) -> Iterator[ColumnBatch]:
         if self.rows:
@@ -686,10 +732,11 @@ class BatchNestedLoopJoin(NestedLoopJoinOp):
 
     The primary evaluates per pair through a compiled
     :class:`PredicateRunner` — the same O(|R|·|S|) walk the row operator
-    does, one outer row's bindings at a time. All metering (inner
-    materialisation CPU, per-outer-tuple CPU and rescan I/O,
-    primary-predicate function charges) totals exactly what the row
-    operator charges.
+    does, one outer row against the whole inner side at a time (through
+    :meth:`PredicateRunner.pair_evaluator` when the primary reads one
+    column per side). All metering (inner materialisation CPU,
+    per-outer-tuple CPU and rescan I/O, primary-predicate function
+    charges) totals exactly what the row operator charges.
     """
 
     def __init__(
@@ -752,28 +799,25 @@ class BatchNestedLoopJoin(NestedLoopJoinOp):
         runner = self._runner
         getters = self._getters
         # Two-column one-per-side primaries (the common UDF join shape,
-        # e.g. ``expjoin10(t7.a, t3.a)``) get a specialised binding
-        # build: the inner side's values materialise once, and each
-        # outer row pairs its single value against them in one listcomp.
+        # e.g. ``expjoin10(t7.a, t3.a)``): the inner side's values
+        # materialise once, and each outer row's single value is
+        # evaluated against them in one call.
         two_col = (
             len(getters) == 2 and getters[0][0] is not getters[1][0]
         )
         if two_col and inner_rows:
-            outer_first = getters[0][0]
-            outer_slot = (getters[0] if outer_first else getters[1])[1]
-            inner_slot = (getters[1] if outer_first else getters[0])[1]
-            inner_vals = [row[inner_slot] for row in inner_rows]
+            inner_position = int(getters[0][0])
+            inner_slot = getters[inner_position][1]
+            outer_slot = getters[1 - inner_position][1]
+            mask_for = runner.pair_evaluator(
+                [row[inner_slot] for row in inner_rows], inner_position
+            )
             for obatch in self.outer:
                 n = obatch.length
                 meter.charge_cpu(cpu * n)
                 meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
                 for outer_row in obatch.rows:
-                    ov = outer_row[outer_slot]
-                    if outer_first:
-                        bindings = [(ov, iv) for iv in inner_vals]
-                    else:
-                        bindings = [(iv, ov) for iv in inner_vals]
-                    mask = runner.evaluate_bindings(bindings)
+                    mask = mask_for(outer_row[outer_slot])
                     for inner_row in compress(inner_rows, mask):
                         pending.append(outer_row + inner_row)
                 yield from out.drain()

@@ -114,3 +114,25 @@ class TestBudgetDnf:
         result = Executor(db, budget=workload.budget).execute(plan)
         assert not result.completed
         assert result.error.startswith("budget:")
+
+    @pytest.mark.parametrize("executor,error,charged", [
+        ("row", "budget: charged 15317.9 > budget 15315.0", 15317.885),
+        ("vector", "budget: charged 15410.0 > budget 15315.0", 15410.05),
+    ])
+    def test_q5_pullup_aborts_where_it_always_has(
+        self, db, executor, error, charged
+    ):
+        """The expensive primary join charges once per outer row after
+        evaluating it, whichever call form produced the verdicts, so the
+        abort strikes at the same outer row: error and charged-at-abort
+        are the values both engines printed before the vector engine's
+        join learned the curried pair form (the engines differ from each
+        other because batches charge in groups)."""
+        workload = build_workload(db, "q5")
+        plan = optimize(db, workload.query, strategy="pullup").plan
+        result = Executor(
+            db, budget=workload.budget, executor=executor
+        ).execute(plan)
+        assert not result.completed
+        assert result.error == error
+        assert result.charged == pytest.approx(charged)
