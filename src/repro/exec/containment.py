@@ -76,6 +76,9 @@ class QuarantineEntry:
     action: str
     attempts: int
     call_index: int
+    #: ``repr`` of the predicate's input values — the binding the UDF
+    #: actually saw, not the composite row — clipped to 120 characters.
+    #: (The name is the chaos report schema's.)
     row_preview: str
 
     def as_dict(self) -> dict:
@@ -171,7 +174,7 @@ class ContainmentState:
             )
 
     def quarantine(
-        self, predicate, row: tuple, error: UdfError, attempts: int
+        self, predicate, binding: tuple, error: UdfError, attempts: int
     ) -> bool:
         """Record an exhausted evaluation; returns the assumed verdict.
 
@@ -186,7 +189,7 @@ class ContainmentState:
                     action=action,
                     attempts=attempts,
                     call_index=error.call_index,
-                    row_preview=repr(row)[:120],
+                    row_preview=repr(binding)[:120],
                 )
             )
         else:

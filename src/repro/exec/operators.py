@@ -27,11 +27,12 @@ from typing import Callable, Iterator
 
 from repro.catalog.catalog import Catalog
 from repro.cost.params import CostParams
-from repro.errors import ExecutionError, PlanError, UdfError
+from repro.errors import ExecutionError, PlanError
 from repro.exec.cache import PredicateCache
 from repro.exec.containment import ContainmentState
+from repro.exec.predicate import PredicateRunner, live_filter
 from repro.expr.expressions import Scope
-from repro.expr.predicates import BoolBranch, BoolLeaf, Predicate
+from repro.expr.predicates import Predicate
 from repro.obs.histograms import StreamingHistogram
 from repro.plan.display import _node_label
 from repro.plan.nodes import Join, JoinMethod, PlanNode, Scan
@@ -245,134 +246,6 @@ class _CachingFunctions:
         return wrapper
 
 
-def evaluate_predicate(
-    predicate: Predicate, row: tuple, scope: Scope, ctx: RuntimeContext
-) -> bool:
-    """Evaluate one predicate on one row, with charging, caching, and —
-    when the context carries a :class:`ContainmentState` — UDF failure
-    containment (bounded retries, then the on-exhaustion policy).
-
-    Returns ``False`` for SQL NULL results (a WHERE conjunct only passes
-    rows for which it is true).
-    """
-    collector = ctx.collector
-    monitor = ctx.monitor
-    if collector is None and monitor is None:
-        return _evaluate_contained(predicate, row, scope, ctx)
-    # The meter delta brackets the whole contained evaluation, so the
-    # observed per-call cost is what this row *actually* charged: zero on
-    # cache hits and on quarantined rows, partial under function-level
-    # caching. Both sinks share one bracket.
-    before = ctx.meter.function_charged
-    value = _evaluate_contained(predicate, row, scope, ctx)
-    charged = ctx.meter.function_charged - before
-    if collector is not None:
-        collector.observe(predicate, value, charged)
-    if monitor is not None:
-        monitor.observe_predicate(predicate, value, charged)
-    return value
-
-
-def _evaluate_contained(
-    predicate: Predicate, row: tuple, scope: Scope, ctx: RuntimeContext
-) -> bool:
-    """Evaluation under the containment retry loop (no feedback hook)."""
-    containment = ctx.containment
-    if containment is None:
-        return _evaluate_once(predicate, row, scope, ctx)
-    attempts = 0
-    while True:
-        try:
-            value = _evaluate_once(predicate, row, scope, ctx)
-        except UdfError as error:
-            containment.note_failure()
-            if attempts < containment.policy.retries:
-                containment.wait_before_retry(attempts, error)
-                attempts += 1
-                continue
-            # Exhausted: quarantine the tuple and apply the policy
-            # (``abort`` re-raises; the executor turns it into a
-            # structured DNF result).
-            return containment.quarantine(
-                predicate, row, error, attempts + 1
-            )
-        if attempts:
-            containment.note_recovered()
-        return value
-
-
-def _evaluate_once(
-    predicate: Predicate, row: tuple, scope: Scope, ctx: RuntimeContext
-) -> bool:
-    """One uncontained evaluation attempt (the pre-containment body)."""
-    functions = ctx.catalog.functions
-    caching = (
-        ctx.caching
-        and predicate.is_expensive
-        and predicate.pred_id not in ctx.bypass_ids
-    )
-    compound = predicate.is_compound
-    if caching and ctx.cache_mode == "function":
-        registry = ctx.caching_functions()
-        if compound:
-            # Short-circuit walk; the memoising wrappers charge per
-            # actual (uncached) UDF call, so no leaf-level charges here.
-            return _evaluate_tree(predicate.tree, row, scope, registry, None)
-        value = predicate.expr.evaluate(row, scope, registry)
-        return value is True
-    if caching:
-        assert ctx.cache is not None
-        key = tuple(
-            row[scope.slot(table, attribute)]
-            for table, attribute in predicate.input_columns()
-        )
-        found, value = ctx.cache.lookup(predicate.pred_id, key)
-        if not found:
-            if compound:
-                value = _evaluate_tree(
-                    predicate.tree, row, scope, functions, ctx.meter
-                )
-            else:
-                value = predicate.expr.evaluate(row, scope, functions)
-                ctx.meter.charge_function(predicate.cost_per_tuple)
-            ctx.cache.store(predicate.pred_id, key, value)
-        return value is True
-    if compound:
-        return _evaluate_tree(predicate.tree, row, scope, functions, ctx.meter)
-    value = predicate.expr.evaluate(row, scope, functions)
-    if predicate.is_expensive:
-        ctx.meter.charge_function(predicate.cost_per_tuple)
-    return value is True
-
-
-def _evaluate_tree(
-    tree: BoolBranch, row: tuple, scope: Scope, functions, meter
-) -> bool:
-    """Short-circuit a cost-ordered boolean tree on one row.
-
-    Children run in the tree's (rank-ordered) sequence; AND stops at the
-    first non-true child, OR at the first true one. Each expensive leaf
-    that actually runs charges its own per-call cost — evaluate first,
-    then charge, so a UDF failure leaves the leaf uncharged, exactly
-    like the whole-predicate path. SQL NULL collapses to ``False``,
-    which is sound for filtering (a WHERE conjunct only passes rows it
-    is *true* for). When ``meter`` is ``None`` the caller's function
-    registry does its own charging (function-level cache mode).
-    """
-    conjunctive = tree.op == "AND"
-    for child in tree.children:
-        if isinstance(child, BoolLeaf):
-            value = child.expr.evaluate(row, scope, functions)
-            if meter is not None and child.is_expensive:
-                meter.charge_function(child.cost)
-            passed = value is True
-        else:
-            passed = _evaluate_tree(child, row, scope, functions, meter)
-        if passed is not conjunctive:
-            return passed
-    return conjunctive
-
-
 class Operator:
     """Base class: an iterable of chunks with a fixed scope — composite
     rows on the row engine, column batches on the vector engine."""
@@ -384,23 +257,19 @@ class Operator:
 
 
 class FilterChain(Operator):
-    """Applies an ordered predicate list to a child's output."""
+    """Applies an ordered predicate list to a child's output; the list is
+    read live (see :func:`~repro.exec.predicate.live_filter`)."""
 
     def __init__(
         self, child: Operator, filters: list[Predicate], ctx: RuntimeContext
     ) -> None:
         self.child = child
         self.filters = filters
-        self.ctx = ctx
         self.scope = child.scope
+        self.passes = live_filter(filters, self.scope, ctx)
 
     def __iter__(self) -> Iterator[tuple]:
-        for row in self.child:
-            if all(
-                evaluate_predicate(predicate, row, self.scope, self.ctx)
-                for predicate in self.filters
-            ):
-                yield row
+        return filter(self.passes, self.child)
 
 
 class SeqScanOp(Operator):
@@ -460,6 +329,7 @@ class NestedLoopJoinOp(Operator):
         self.inner = inner
         self.ctx = ctx
         self.scope = outer.scope.concat(inner.scope)
+        self.runner = PredicateRunner(join.primary, ctx)
         inner_node = join.inner
         # The paper's constant-|S| rescan volume: the base relation's page
         # count for a scan inner; for a bushy (joined) inner, the pages of
@@ -484,6 +354,7 @@ class NestedLoopJoinOp(Operator):
         inner_rows = list(self.inner)  # filters evaluated once, here
         meter.charge_cpu(cpu * len(inner_rows))
         rescan_pages = self.rescan_pages(len(inner_rows))
+        primary = self.runner.row_evaluator(self.scope)
         for outer_row in self.outer:
             meter.charge_cpu(cpu)
             # The paper's constant-|S| term: every outer tuple rescans the
@@ -491,9 +362,7 @@ class NestedLoopJoinOp(Operator):
             meter.charge_io(IOKind.SEQUENTIAL, rescan_pages)
             for inner_row in inner_rows:
                 row = outer_row + inner_row
-                if evaluate_predicate(
-                    self.join.primary, row, self.scope, self.ctx
-                ):
+                if primary(row):
                     yield row
 
 
@@ -519,9 +388,11 @@ class IndexNestedLoopJoinOp(Operator):
         self.entry = entry
         self.heap = entry.heap
         self.index = entry.index(inner_column.attribute)
-        self.inner_filters = inner_scan.filters
         self.inner_scope = Scope(
             [(inner_scan.table, name) for name in entry.schema.attribute_names]
+        )
+        self.inner_passes = live_filter(
+            inner_scan.filters, self.inner_scope, ctx
         )
         self.outer_slot = outer.scope.slot(
             outer_column.table, outer_column.attribute
@@ -531,17 +402,13 @@ class IndexNestedLoopJoinOp(Operator):
     def __iter__(self) -> Iterator[tuple]:
         cpu = self.ctx.params.cpu_per_tuple
         fetch_rid = self.heap.fetch_rid
+        inner_passes = self.inner_passes
         for outer_row in self.outer:
             self.ctx.meter.charge_cpu(cpu)
             key = outer_row[self.outer_slot]
             for rid in self.index.search(key):
                 inner_row = fetch_rid(rid)
-                if all(
-                    evaluate_predicate(
-                        predicate, inner_row, self.inner_scope, self.ctx
-                    )
-                    for predicate in self.inner_filters
-                ):
+                if inner_passes(inner_row):
                     yield outer_row + inner_row
 
 

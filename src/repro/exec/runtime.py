@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 #: multisets and charge totals; the vector path is the fast one).
 EXECUTORS = ("row", "vector")
 
+#: ``cache_bypass`` skips caching a predicate whose estimated distinct
+#: input bindings reach this share of the tuples that will reach it.
+CACHE_BYPASS_THRESHOLD = 0.95
+
 
 @dataclass
 class QueryResult:
@@ -148,7 +152,6 @@ class Executor:
         cache_mode: str = "predicate",
         cache_replacement: str = "fifo",
         cache_bypass: bool = False,
-        cache_bypass_threshold: float = 0.95,
         tracer=None,
         profiler=None,
         failure_policy: FailurePolicy | None = None,
@@ -167,7 +170,8 @@ class Executor:
         """``cache_mode`` selects predicate-level (Montage) or
         function-level ([Jhi88]) memoisation; ``cache_bypass`` enables the
         paper's Section 5.1 heuristic of not caching predicates whose
-        distinct-bindings-to-tuples ratio exceeds the threshold (caching
+        distinct-bindings-to-tuples ratio exceeds
+        :data:`CACHE_BYPASS_THRESHOLD` (caching
         such predicates costs memory and buys nothing). ``tracer`` records
         execute-phase spans (default: the zero-overhead null tracer);
         ``profiler`` accumulates build/run wall-clock plus, on
@@ -227,7 +231,6 @@ class Executor:
         self.cache_mode = cache_mode
         self.cache_replacement = cache_replacement
         self.cache_bypass = cache_bypass
-        self.cache_bypass_threshold = cache_bypass_threshold
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.profiler = NULL_PROFILER if profiler is None else profiler
         self.failure_policy = failure_policy
@@ -263,7 +266,7 @@ class Executor:
                 catalog.table(table).stats.cardinality
                 for table in predicate.tables
             ) if predicate.tables else 1
-            if distinct >= self.cache_bypass_threshold * tuples:
+            if distinct >= CACHE_BYPASS_THRESHOLD * tuples:
                 bypass.add(predicate.pred_id)
         return frozenset(bypass)
 
@@ -340,8 +343,8 @@ class Executor:
             # A vector request's batch granularity becomes the row
             # pipeline's boundary cadence. The controller doubles as the
             # feedback collector (tee-ing to any user-supplied one) so
-            # drift detection rides the existing evaluate_predicate
-            # bracket.
+            # drift detection rides the predicate runner's per-evaluation
+            # sink bracket.
             from repro.adaptive.controller import AdaptiveController
 
             controller = AdaptiveController(

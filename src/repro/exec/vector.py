@@ -2,12 +2,10 @@
 
 Operators here speak the same protocol as the row engine's — an iterable
 of chunks with a scope — with a :class:`~repro.storage.columnar.
-ColumnBatch` as the chunk instead of a single row, and three speed levers:
+ColumnBatch` as the chunk instead of a single row, and two speed levers
+over the row engine (predicates run the same compiled
+:class:`~repro.exec.predicate.PredicateRunner` on both):
 
-* **compiled kernels** — each predicate's expression tree is compiled
-  once into nested closures over binding-slot indices, replacing the
-  per-row recursive AST walk (and its per-column ``scope.slot`` dict
-  lookups) with direct indexing;
 * **selection vectors** — filters fill a byte mask and gather survivors
   column-at-a-time, so each expensive-UDF call is made (and charged)
   only for selection-vector survivors;
@@ -28,19 +26,20 @@ that exceed the cost budget DNF in both executors (charges accrue
 monotonically to the same total), though the partial ``charged`` at
 abort time may differ because batches charge in groups.
 
-Failure containment (`ctx.containment`) switches predicate evaluation to
-the row path's per-tuple contained loop, so retry/quarantine semantics —
-and the chaos suite's subset/superset audits — are preserved under
-batching. FeedbackCollector / RuntimeMonitor sinks are observed
-per batch via their ``observe_batch`` / ``observe_predicate_batch`` /
-``on_rows`` bulk hooks, and cost nothing when detached.
+Failure containment and the FeedbackCollector / RuntimeMonitor sinks are
+the runner's business: with any of them attached it evaluates one binding
+at a time inside the batch (retry/quarantine semantics, and the chaos
+suite's subset/superset audits, are the row engine's) and reports to the
+sinks once per batch via their ``observe_batch`` /
+``observe_predicate_batch`` / ``on_rows`` bulk hooks. Detached, they cost
+nothing.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import compress
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import ExecutionError
 from repro.exec.operators import (
@@ -55,22 +54,10 @@ from repro.exec.operators import (
     _scope_width,
     batch_node_stats,
     build_operator,
-    evaluate_predicate,
 )
-from repro.expr.expressions import (
-    _ARITHMETIC,
-    _COMPARATORS,
-    BinaryOp,
-    Column,
-    Comparison,
-    Const,
-    Expr,
-    FuncCall,
-    Logical,
-    Not,
-    Scope,
-)
-from repro.expr.predicates import BoolBranch, BoolLeaf, Predicate
+from repro.exec.predicate import PredicateRunner
+from repro.expr.expressions import Scope
+from repro.expr.predicates import Predicate
 from repro.obs.quality import fmt_stat
 from repro.plan.display import _node_label
 from repro.plan.nodes import Join, JoinMethod, PlanNode
@@ -79,130 +66,8 @@ from repro.storage.columnar import (
     ColumnBatch,
     batches_from_heap,
     batches_from_rows,
-    mask_count,
 )
 from repro.storage.meter import IOKind
-
-
-# -- kernel compilation ------------------------------------------------------
-
-
-def compile_kernel(
-    expr: Expr, scope: Scope, functions
-) -> Callable[[tuple], object]:
-    """Compile an expression into a closure over binding tuples.
-
-    Semantics mirror ``Expr.evaluate`` exactly (including three-valued
-    NULL propagation); the only difference is that column slots and
-    function objects are resolved once, at compile time.
-    """
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda binding: value
-    if isinstance(expr, Column):
-        slot = scope.slot(expr.table, expr.attribute)
-        return lambda binding: binding[slot]
-    if isinstance(expr, FuncCall):
-        fn = functions.get(expr.name)
-        kernels = tuple(
-            compile_kernel(arg, scope, functions) for arg in expr.args
-        )
-        if len(kernels) == 1:
-            arg0 = kernels[0]
-            return lambda binding: fn(arg0(binding))
-        if len(kernels) == 2:
-            arg0, arg1 = kernels
-            return lambda binding: fn(arg0(binding), arg1(binding))
-        return lambda binding: fn(*(k(binding) for k in kernels))
-    if isinstance(expr, (Comparison, BinaryOp)):
-        table = _COMPARATORS if isinstance(expr, Comparison) else _ARITHMETIC
-        op = table[expr.op]
-        left = compile_kernel(expr.left, scope, functions)
-        right = compile_kernel(expr.right, scope, functions)
-
-        def binary(binding):
-            a = left(binding)
-            b = right(binding)
-            if a is None or b is None:
-                return None
-            return op(a, b)
-
-        return binary
-    if isinstance(expr, Logical):
-        kernels = tuple(
-            compile_kernel(operand, scope, functions)
-            for operand in expr.operands
-        )
-        conjunctive = expr.op == "AND"
-
-        def logical(binding):
-            # All operands evaluate (three-valued), like Logical.evaluate.
-            values = [k(binding) for k in kernels]
-            if conjunctive:
-                if any(value is False for value in values):
-                    return False
-                if any(value is None for value in values):
-                    return None
-                return True
-            if any(value is True for value in values):
-                return True
-            if any(value is None for value in values):
-                return None
-            return False
-
-        return logical
-    if isinstance(expr, Not):
-        inner = compile_kernel(expr.operand, scope, functions)
-
-        def negate(binding):
-            value = inner(binding)
-            if value is None:
-                return None
-            return not value
-
-        return negate
-    raise ExecutionError(
-        f"cannot compile expression type: {type(expr).__name__}"
-    )
-
-
-def _compile_tree_walk(
-    tree: BoolBranch, scope: Scope, functions, meter
-) -> Callable[[tuple], bool]:
-    """Compile a cost-ordered boolean tree into a short-circuit closure.
-
-    Each expensive leaf charges its per-call cost right after it
-    evaluates (evaluate-then-charge, like the row path's
-    ``_evaluate_tree``); pass ``meter=None`` under function-level
-    caching, where the memoising wrappers do their own charging.
-    """
-
-    def build(node) -> Callable[[tuple], bool]:
-        if isinstance(node, BoolLeaf):
-            kernel = compile_kernel(node.expr, scope, functions)
-            if meter is not None and node.is_expensive:
-                cost = node.cost
-
-                def leaf(binding):
-                    value = kernel(binding)
-                    meter.charge_function(cost)
-                    return value is True
-
-                return leaf
-            return lambda binding: kernel(binding) is True
-        children = tuple(build(child) for child in node.children)
-        conjunctive = node.op == "AND"
-
-        def branch(binding):
-            for child in children:
-                passed = child(binding)
-                if passed is not conjunctive:
-                    return passed
-            return conjunctive
-
-        return branch
-
-    return build(tree)
 
 
 # -- batch-granular actuals (EXPLAIN ANALYZE companion data) -----------------
@@ -265,297 +130,6 @@ class BatchPredicateStats:
         }
 
 
-# -- batch predicate evaluation ----------------------------------------------
-
-
-class PredicateRunner:
-    """Evaluates one predicate over binding batches with charging,
-    caching, and observation totals identical to the row path's
-    ``_evaluate_once``.
-
-    Bindings are tuples of the predicate's ``input_columns()`` values in
-    declaration order — exactly the row path's cache key — so predicate-
-    cache contents and hit/miss totals match the row executor whenever
-    the cache is unbounded (bounded caches are order-sensitive).
-
-    Function costs charge in bulk per batch (``cost × evaluations``,
-    via ``charge_function(cost, calls=n)``): total charge, call count,
-    and the completed/DNF verdict all match the row executor; only the
-    intermediate meter reading inside a batch differs. With feedback or
-    telemetry sinks attached, evaluation drops to a per-binding bracket
-    so observations carry exact per-call costs.
-    """
-
-    def __init__(self, predicate: Predicate, ctx: RuntimeContext) -> None:
-        self.predicate = predicate
-        self.ctx = ctx
-        self.scope = Scope(list(predicate.input_columns()))
-        self.caching = (
-            ctx.caching
-            and predicate.is_expensive
-            and predicate.pred_id not in ctx.bypass_ids
-        )
-        self.function_mode = self.caching and ctx.cache_mode == "function"
-        functions = (
-            ctx.caching_functions()
-            if self.function_mode
-            else ctx.catalog.functions
-        )
-        tree = predicate.tree
-        self.compound = isinstance(tree, BoolBranch)
-        if self.compound:
-            meter = None if self.function_mode else ctx.meter
-            self._walk = _compile_tree_walk(tree, self.scope, functions, meter)
-            self._kernel = None
-        else:
-            self._walk = None
-            self._kernel = compile_kernel(predicate.expr, self.scope, functions)
-        # Batchable-UDF shape: a lone function call whose arguments are
-        # exactly the binding columns, in order — then bindings *are*
-        # the call's argument tuples and the registry's vectorized
-        # entry point applies. Gated on the implementation actually
-        # carrying a ``batch`` form (bool-per-binding contract); a
-        # fault-injector wrapper strips it, restoring per-call
-        # dispatch. (Not under function-level caching, where the
-        # memoising wrappers must see each call.)
-        expr = predicate.expr
-        self._direct_function = None
-        if (
-            not self.compound
-            and not self.function_mode
-            and isinstance(expr, FuncCall)
-            and all(isinstance(arg, Column) for arg in expr.args)
-            and [(arg.table, arg.attribute) for arg in expr.args]
-            == list(predicate.input_columns())
-        ):
-            function = ctx.catalog.functions.get(expr.name)
-            if function.batch_form is not None:
-                self._direct_function = function
-        # Free column-vs-constant comparisons (`t10.a20 < 5`) evaluate
-        # column-at-a-time: one packed-column scan into the mask, no
-        # binding tuples, no charges (the predicate is free).
-        self._column_compare = None
-        if (
-            not self.compound
-            and not predicate.is_expensive
-            and isinstance(expr, Comparison)
-        ):
-            left, right = expr.left, expr.right
-            op = _COMPARATORS[expr.op]
-            if isinstance(left, Column) and isinstance(right, Const):
-                self._column_compare = (op, right.value, False)
-            elif isinstance(left, Const) and isinstance(right, Column):
-                self._column_compare = (op, left.value, True)
-
-    # One binding, mirroring `_evaluate_once`'s three paths. Used by the
-    # observed (per-binding bracketed) regime only.
-    def _evaluate_one(self, binding: tuple) -> bool:
-        if self.function_mode:
-            if self.compound:
-                return self._walk(binding)
-            return self._kernel(binding) is True
-        if self.caching:
-            cache = self.ctx.cache
-            found, value = cache.lookup(self.predicate.pred_id, binding)
-            if not found:
-                if self.compound:
-                    value = self._walk(binding)
-                else:
-                    value = self._kernel(binding)
-                    self.ctx.meter.charge_function(
-                        self.predicate.cost_per_tuple
-                    )
-                cache.store(self.predicate.pred_id, binding, value)
-            return value is True
-        if self.compound:
-            return self._walk(binding)
-        value = self._kernel(binding)
-        if self.predicate.is_expensive:
-            self.ctx.meter.charge_function(self.predicate.cost_per_tuple)
-        return value is True
-
-    def evaluate_batch(self, batch: ColumnBatch, slots: list[int]) -> bytearray:
-        """Fill a selection mask over a whole batch, reading columns
-        directly when the predicate shape allows it."""
-        ctx = self.ctx
-        if self._column_compare is not None and ctx.collector is None:
-            # A monitor alone does not force the per-binding bracketed
-            # regime: the predicate is free (every charge is zero), so
-            # the observation can be reported in bulk from the mask —
-            # same density information, none of the per-row overhead.
-            op, const, reversed_ = self._column_compare
-            if const is None:  # comparisons against NULL never pass
-                mask = bytearray(batch.length)
-            else:
-                column = batch.column(slots[0])
-                if reversed_:
-                    mask = bytearray(
-                        (v is not None and op(const, v)) is True
-                        for v in column
-                    )
-                else:
-                    mask = bytearray(
-                        (v is not None and op(v, const)) is True
-                        for v in column
-                    )
-            monitor = ctx.monitor
-            if monitor is not None and batch.length:
-                monitor.observe_predicate_batch(
-                    self.predicate, batch.length, mask_count(mask), ()
-                )
-            return mask
-        return self.evaluate_bindings(_bindings_from_batch(batch, slots))
-
-    def evaluate_bindings(self, bindings: list[tuple]) -> bytearray:
-        """Fill a selection mask over one batch of bindings."""
-        ctx = self.ctx
-        if ctx.collector is not None or ctx.monitor is not None:
-            return self._evaluate_observed(bindings)
-        n = len(bindings)
-        mask = bytearray(n)
-        if not n:
-            return mask
-        predicate = self.predicate
-        if self.caching and not self.function_mode:
-            # Predicate-level cache: per-binding lookups (hit/miss
-            # parity with the row path), misses charged in bulk.
-            cache = ctx.cache
-            lookup = cache.lookup
-            store = cache.store
-            pred_id = predicate.pred_id
-            walk = self._walk
-            kernel = self._kernel
-            misses = 0
-            for i, binding in enumerate(bindings):
-                found, value = lookup(pred_id, binding)
-                if not found:
-                    if walk is not None:
-                        value = walk(binding)  # charges its own leaves
-                    else:
-                        value = kernel(binding)
-                        misses += 1
-                    store(pred_id, binding, value)
-                if value is True:
-                    mask[i] = 1
-            if misses:
-                ctx.meter.charge_function(predicate.cost_per_tuple, misses)
-            return mask
-        if self._direct_function is not None:
-            verdicts = self._direct_function.call_batch(bindings)
-            if predicate.is_expensive:
-                ctx.meter.charge_function(predicate.cost_per_tuple, n)
-            # batch-form verdicts are bools, which pack straight into
-            # the selection mask at C speed.
-            return bytearray(verdicts)
-        evaluate = self._walk if self._walk is not None else self._kernel
-        for i, binding in enumerate(bindings):
-            if evaluate(binding) is True:
-                mask[i] = 1
-        if (
-            self._walk is None
-            and not self.function_mode
-            and predicate.is_expensive
-        ):
-            ctx.meter.charge_function(predicate.cost_per_tuple, n)
-        return mask
-
-    def pair_evaluator(
-        self, inner_vals: list, position: int
-    ) -> Callable[[object], bytearray | list[bool]]:
-        """For a nested-loop primary reading one column per side: a
-        function from an outer row's value to the selection mask over
-        the inner rows, whose values ``inner_vals`` are binding column
-        ``position``.
-
-        A direct, uncached, unobserved function call takes the
-        function's curried pair form when it has one — the verdicts,
-        count and per-outer-row charge (evaluate, then charge, so a
-        budget abort strikes at the same outer row) are those of
-        :meth:`evaluate_bindings`, minus the binding tuples and the
-        per-pair re-hash of the inner value. Everything else builds the
-        outer row's bindings and goes through :meth:`evaluate_bindings`.
-        """
-        ctx = self.ctx
-        if (
-            self._direct_function is not None
-            and not self.caching
-            and ctx.collector is None
-            and ctx.monitor is None
-        ):
-            verdicts = self._direct_function.pair_form(inner_vals, position)
-            if verdicts is not None:
-                if not self.predicate.is_expensive:
-                    return verdicts
-                charge = ctx.meter.charge_function
-                cost = self.predicate.cost_per_tuple
-                count = len(inner_vals)
-
-                def charged_verdicts(outer_value: object) -> list[bool]:
-                    mask = verdicts(outer_value)
-                    charge(cost, count)
-                    return mask
-
-                return charged_verdicts
-        evaluate = self.evaluate_bindings
-        if position == 0:
-            return lambda ov: evaluate([(iv, ov) for iv in inner_vals])
-        return lambda ov: evaluate([(ov, iv) for iv in inner_vals])
-
-    def _evaluate_observed(self, bindings: list[tuple]) -> bytearray:
-        """Attached regime: bracket each evaluation with the meter's
-        function-charge delta so batch observations carry the exact
-        per-call costs the row path would have reported."""
-        mask = bytearray(len(bindings))
-        if not bindings:
-            return mask
-        meter = self.ctx.meter
-        evaluate_one = self._evaluate_one
-        passed_count = 0
-        charges: list[float] = []
-        for i, binding in enumerate(bindings):
-            before = meter.function_charged
-            if evaluate_one(binding):
-                mask[i] = 1
-                passed_count += 1
-            charges.append(meter.function_charged - before)
-        collector = self.ctx.collector
-        if collector is not None:
-            charged_calls = 0
-            charged_cost = 0.0
-            for charge in charges:
-                if charge > 0:
-                    charged_calls += 1
-                    charged_cost += charge
-            collector.observe_batch(
-                self.predicate,
-                len(charges),
-                passed_count,
-                charged_calls,
-                charged_cost,
-            )
-        monitor = self.ctx.monitor
-        if monitor is not None:
-            monitor.observe_predicate_batch(
-                self.predicate, len(charges), passed_count, charges
-            )
-        return mask
-
-
-def _bindings_from_batch(
-    batch: ColumnBatch, slots: list[int]
-) -> list[tuple]:
-    if not slots:
-        return [()] * batch.length
-    return list(zip(*(batch.column(slot) for slot in slots)))
-
-
-def _input_slots(predicate: Predicate, scope: Scope) -> list[int]:
-    return [
-        scope.slot(table, attribute)
-        for table, attribute in predicate.input_columns()
-    ]
-
-
 # -- batch operators ---------------------------------------------------------
 
 
@@ -575,7 +149,7 @@ class BatchFilter(Operator):
 
     Each predicate fills a selection mask over the current survivors and
     the batch is compacted before the next predicate runs — so, exactly
-    like the row path's short-circuiting ``all()``, predicate *k* only
+    like the row engine's short-circuiting chain, predicate *k* only
     ever evaluates (and charges for) rows that passed predicates
     ``< k``.
     """
@@ -608,43 +182,13 @@ class BatchFilter(Operator):
         self._on_filter_batch = (
             ctx.monitor.on_filter_batch if ctx.monitor is not None else None
         )
-        if ctx.containment is None:
-            self._runners = [
-                (PredicateRunner(p, ctx), _input_slots(p, self.scope))
-                for p in filters
-            ]
+        self._runners = [
+            (runner, runner.input_slots(self.scope))
+            for runner in (PredicateRunner(p, ctx) for p in filters)
+        ]
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
-        if ctx.containment is not None:
-            # Containment slow path: per-tuple contained evaluation keeps
-            # retry, backoff, and quarantine semantics row-identical.
-            scope = self.scope
-            filters = self.filters
-            stats = self._stats
-            on_filter_batch = self._on_filter_batch
-            for batch in self.child:
-                rows_in = batch.length
-                mask = bytearray(rows_in)
-                for i, row in enumerate(batch.iter_rows()):
-                    if all(
-                        evaluate_predicate(predicate, row, scope, ctx)
-                        for predicate in filters
-                    ):
-                        mask[i] = 1
-                batch = batch.take(mask)
-                if stats is not None:
-                    stats.rows_in.observe(float(rows_in))
-                if on_filter_batch is not None:
-                    on_filter_batch(
-                        self.node_key,
-                        rows_in,
-                        batch.length,
-                        self.declared_selectivity,
-                    )
-                if batch.length:
-                    yield batch
-            return
         runners = self._runners
         stats = self._stats
         on_filter_batch = self._on_filter_batch
@@ -749,16 +293,13 @@ class BatchNestedLoopJoin(NestedLoopJoinOp):
     ) -> None:
         super().__init__(join, outer, inner, ctx)
         self.batch_rows = batch_rows
-        if ctx.containment is None:
-            primary = join.primary
-            self._runner = PredicateRunner(primary, ctx)
-            outer_scope, inner_scope = outer.scope, inner.scope
-            self._getters = [
-                (True, outer_scope.slot(table, attribute))
-                if (table, attribute) in outer_scope
-                else (False, inner_scope.slot(table, attribute))
-                for table, attribute in primary.input_columns()
-            ]
+        outer_scope, inner_scope = outer.scope, inner.scope
+        self._getters = [
+            (True, outer_scope.slot(table, attribute))
+            if (table, attribute) in outer_scope
+            else (False, inner_scope.slot(table, attribute))
+            for table, attribute in join.primary.input_columns()
+        ]
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self.ctx
@@ -780,23 +321,8 @@ class BatchNestedLoopJoin(NestedLoopJoinOp):
         ctx = self.ctx
         meter = ctx.meter
         cpu = ctx.params.cpu_per_tuple
-        primary = self.join.primary
-        contained = ctx.containment is not None
         pending = out.rows
-        scope = self.scope
-        if contained:
-            for obatch in self.outer:
-                n = obatch.length
-                meter.charge_cpu(cpu * n)
-                meter.charge_io(IOKind.SEQUENTIAL, rescan_pages * n)
-                for outer_row in obatch.rows:
-                    for inner_row in inner_rows:
-                        row = outer_row + inner_row
-                        if evaluate_predicate(primary, row, scope, ctx):
-                            pending.append(row)
-                yield from out.drain()
-            return
-        runner = self._runner
+        runner = self.runner
         getters = self._getters
         # Two-column one-per-side primaries (the common UDF join shape,
         # e.g. ``expjoin10(t7.a, t3.a)``): the inner side's values

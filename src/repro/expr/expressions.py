@@ -10,10 +10,10 @@ invocations — the paper's measurement methodology hinges on those counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, ClassVar, Iterator
 
 from repro.catalog.functions import FunctionRegistry
-from repro.errors import PlanError
+from repro.errors import ExecutionError, PlanError
 
 #: A qualified column: (table name, attribute name).
 QualifiedColumn = tuple[str, str]
@@ -139,6 +139,50 @@ class FuncCall(Expr):
         return f"{self.name}({rendered})"
 
 
+def inapplicable(expr: object, error: Exception) -> ExecutionError:
+    """What an operator that cannot apply to its operands ends in."""
+    return ExecutionError(f"cannot evaluate {expr}: {error}")
+
+
+@dataclass(frozen=True)
+class _Binary(Expr):
+    """A two-operand operator node: SQL NULL in either operand yields
+    NULL, and an operator that cannot apply to its operands (``/ 0``,
+    ``1 < 'x'``) is an :class:`ExecutionError` naming the expression."""
+
+    op: str
+    left: Expr
+    right: Expr
+
+    #: Operator symbol → implementation, and what the subclass calls them.
+    _OPS: ClassVar[dict[str, Callable[[object, object], object]]] = {}
+    _KIND: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        if self.op not in self._OPS:
+            raise PlanError(f"unknown {self._KIND} operator: {self.op!r}")
+
+    def columns(self) -> Iterator[QualifiedColumn]:
+        yield from self.left.columns()
+        yield from self.right.columns()
+
+    def function_names(self) -> Iterator[str]:
+        yield from self.left.function_names()
+        yield from self.right.function_names()
+
+    def evaluate(
+        self, row: tuple, scope: Scope, functions: FunctionRegistry
+    ) -> object:
+        left = self.left.evaluate(row, scope, functions)
+        right = self.right.evaluate(row, scope, functions)
+        if left is None or right is None:
+            return None
+        try:
+            return self._OPS[self.op](left, right)
+        except (ArithmeticError, TypeError) as error:
+            raise inapplicable(self, error) from None
+
+
 _COMPARATORS = {
     "=": lambda a, b: a == b,
     "<>": lambda a, b: a != b,
@@ -150,72 +194,25 @@ _COMPARATORS = {
 
 
 @dataclass(frozen=True)
-class Comparison(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-    def __post_init__(self) -> None:
-        if self.op not in _COMPARATORS:
-            raise PlanError(f"unknown comparison operator: {self.op!r}")
-
-    def columns(self) -> Iterator[QualifiedColumn]:
-        yield from self.left.columns()
-        yield from self.right.columns()
-
-    def function_names(self) -> Iterator[str]:
-        yield from self.left.function_names()
-        yield from self.right.function_names()
-
-    def evaluate(
-        self, row: tuple, scope: Scope, functions: FunctionRegistry
-    ) -> object:
-        left = self.left.evaluate(row, scope, functions)
-        right = self.right.evaluate(row, scope, functions)
-        if left is None or right is None:
-            return None
-        return _COMPARATORS[self.op](left, right)
+class Comparison(_Binary):
+    _OPS = _COMPARATORS
+    _KIND = "comparison"
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
 
-_ARITHMETIC = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-}
-
-
 @dataclass(frozen=True)
-class BinaryOp(Expr):
+class BinaryOp(_Binary):
     """Arithmetic on column values (``t3.a1 + 10``)."""
 
-    op: str
-    left: Expr
-    right: Expr
-
-    def __post_init__(self) -> None:
-        if self.op not in _ARITHMETIC:
-            raise PlanError(f"unknown arithmetic operator: {self.op!r}")
-
-    def columns(self) -> Iterator[QualifiedColumn]:
-        yield from self.left.columns()
-        yield from self.right.columns()
-
-    def function_names(self) -> Iterator[str]:
-        yield from self.left.function_names()
-        yield from self.right.function_names()
-
-    def evaluate(
-        self, row: tuple, scope: Scope, functions: FunctionRegistry
-    ) -> object:
-        left = self.left.evaluate(row, scope, functions)
-        right = self.right.evaluate(row, scope, functions)
-        if left is None or right is None:
-            return None
-        return _ARITHMETIC[self.op](left, right)
+    _OPS = {
+        "+": lambda a, b: a + b,
+        "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b,
+        "/": lambda a, b: a / b,
+    }
+    _KIND = "arithmetic"
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -298,3 +295,86 @@ def conjuncts(expr: Expr | None) -> list[Expr]:
             flattened.extend(conjuncts(operand))
         return flattened
     return [expr]
+
+
+def compile_kernel(
+    expr: Expr, scope: Scope, functions
+) -> Callable[[tuple], object]:
+    """Compile an expression into a closure over rows of ``scope``.
+
+    Semantics are ``Expr.evaluate``'s exactly — three-valued NULL
+    propagation, every operand of an AND/OR evaluated, the same
+    :class:`ExecutionError` from an inapplicable operator — which
+    ``tests/test_expr.py`` holds the two to; the difference is that column
+    slots and function objects are resolved once, here, instead of per
+    row. ``functions`` is anything with a registry's ``get(name)``.
+    """
+    if isinstance(expr, Const):
+        value = expr.value
+        return lambda binding: value
+    if isinstance(expr, Column):
+        slot = scope.slot(expr.table, expr.attribute)
+        return lambda binding: binding[slot]
+    if isinstance(expr, FuncCall):
+        fn = functions.get(expr.name)
+        kernels = tuple(
+            compile_kernel(arg, scope, functions) for arg in expr.args
+        )
+        if len(kernels) == 1:
+            arg0 = kernels[0]
+            return lambda binding: fn(arg0(binding))
+        if len(kernels) == 2:
+            arg0, arg1 = kernels
+            return lambda binding: fn(arg0(binding), arg1(binding))
+        return lambda binding: fn(*(k(binding) for k in kernels))
+    if isinstance(expr, _Binary):
+        op = expr._OPS[expr.op]
+        left = compile_kernel(expr.left, scope, functions)
+        right = compile_kernel(expr.right, scope, functions)
+
+        def binary(binding):
+            a = left(binding)
+            b = right(binding)
+            if a is None or b is None:
+                return None
+            try:
+                return op(a, b)
+            except (ArithmeticError, TypeError) as error:
+                raise inapplicable(expr, error) from None
+
+        return binary
+    if isinstance(expr, Logical):
+        kernels = tuple(
+            compile_kernel(operand, scope, functions)
+            for operand in expr.operands
+        )
+        conjunctive = expr.op == "AND"
+
+        def logical(binding):
+            values = [k(binding) for k in kernels]
+            if conjunctive:
+                if any(value is False for value in values):
+                    return False
+                if any(value is None for value in values):
+                    return None
+                return True
+            if any(value is True for value in values):
+                return True
+            if any(value is None for value in values):
+                return None
+            return False
+
+        return logical
+    if isinstance(expr, Not):
+        inner = compile_kernel(expr.operand, scope, functions)
+
+        def negate(binding):
+            value = inner(binding)
+            if value is None:
+                return None
+            return not value
+
+        return negate
+    raise ExecutionError(
+        f"cannot compile expression type: {type(expr).__name__}"
+    )

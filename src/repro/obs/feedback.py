@@ -199,7 +199,7 @@ class _Tally:
 class FeedbackCollector:
     """Per-execution sink for predicate-evaluation observations.
 
-    The executor's ``evaluate_predicate`` chokepoint calls
+    The executor's :class:`~repro.exec.predicate.PredicateRunner` calls
     :meth:`observe` once per evaluation with the verdict and the function
     cost charged by that evaluation (zero on cache hits and on contained
     failed attempts). Tallies are kept per ``pred_id`` during the run and

@@ -183,9 +183,9 @@ class RuntimeMonitor:
     cost model before building operators; each
     :class:`~repro.exec.operators.MonitoredOperator` calls
     :meth:`activate` at construction and :meth:`on_rows`/:meth:`on_done`
-    per pull; ``evaluate_predicate`` calls :meth:`observe_predicate`
-    per verdict; the executor finishes with :meth:`complete` (success)
-    or :meth:`freeze` (DNF). All callbacks are cheap tallies — no
+    per pull; :class:`~repro.exec.predicate.PredicateRunner` calls
+    :meth:`observe_predicate` per verdict; the executor finishes with
+    :meth:`complete` (success) or :meth:`freeze` (DNF). All callbacks are cheap tallies — no
     allocation on the per-row path beyond the first touch of a key.
     """
 

@@ -36,6 +36,13 @@ class Query:
             raise OptimizerError(f"duplicate tables in query: {self.tables}")
         table_set = frozenset(self.tables)
         for predicate in self.predicates:
+            if not predicate.tables:
+                # Placement is per table (``selections_on``): a conjunct
+                # on no table would be silently dropped by most planners.
+                raise OptimizerError(
+                    f"predicate {predicate} references no column of the "
+                    f"FROM tables {self.tables}"
+                )
             if not predicate.tables <= table_set:
                 raise OptimizerError(
                     f"predicate {predicate} references tables outside the "

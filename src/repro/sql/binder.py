@@ -27,6 +27,7 @@ from repro.expr.expressions import (
     Logical,
     Not,
     Scope,
+    compile_kernel,
 )
 from repro.optimizer.query import Query
 from repro.sql.ast import (
@@ -209,16 +210,19 @@ class _Binder:
         )
         select_slot = eval_scope.slot(inner_table, select_column.attribute)
         functions = self.db.catalog.functions
+        where = (
+            None
+            if inner_where is None
+            else compile_kernel(inner_where, eval_scope, functions)
+        )
 
         def run_subquery(needle_value: object, *param_values: object) -> object:
             matched = False
             saw_null = False
             for row in entry.heap.all_rows():
                 env = row + param_values
-                if inner_where is not None:
-                    verdict = inner_where.evaluate(env, eval_scope, functions)
-                    if verdict is not True:
-                        continue
+                if where is not None and where(env) is not True:
+                    continue
                 value = env[select_slot]
                 if value is None:
                     saw_null = True

@@ -29,6 +29,14 @@ from repro.adaptive.controller import AdaptiveController, AdaptivePolicy
 from repro.adaptive.workloads import ADAPT_WORKLOADS, build_adapt_workload
 from repro.errors import ArtifactError
 from repro.exec import Executor
+from repro.exec.operators import (
+    FilterChain,
+    Operator,
+    RuntimeContext,
+    SeqScanOp,
+)
+from repro.expr.expressions import Column, FuncCall, Scope
+from repro.expr.predicates import analyze_conjunct
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.provenance import ProvenanceLedger
 from repro.optimizer import optimize
@@ -172,6 +180,65 @@ class TestEquivalence:
         move = event["moves"][0]
         assert move["from_slot"] != move["to_slot"]
         assert any("q-error" in line for line in event["drift"])
+
+
+class _Padded(Operator):
+    """Prepends a column, so the chain above reads every slot one to the
+    right of the chain below; counts the rows that reach it."""
+
+    def __init__(self, child):
+        self.child = child
+        self.scope = Scope([("pad", "x")] + child.scope.columns)
+        self.count = 0
+
+    def __iter__(self):
+        for row in self.child:
+            self.count += 1
+            yield (0,) + row
+
+
+class TestLiveFilterLists:
+    """What ``AdaptiveController._apply`` relies on: a chain reads its
+    ``filters`` list live, so ``node.filters[:] = …`` re-places a
+    predicate for every later row and no row is evaluated twice."""
+
+    def test_predicate_spliced_from_one_chain_to_another_mid_iteration(self):
+        db = build_database(scale=20, seed=SEED, relations=("t3",))
+        seen = []
+
+        def keep(value):
+            seen.append(value)
+            return value % 2 == 0
+
+        db.catalog.functions.register("keep", keep, cost_per_call=1.0)
+        predicate = analyze_conjunct(
+            db.catalog, FuncCall("keep", (Column("t3", "u20"),))
+        )
+        ctx = RuntimeContext(
+            catalog=db.catalog, meter=db.meter, params=db.params
+        )
+        below, above = [predicate], []
+        scan = SeqScanOp("t3", ctx)
+        padded = _Padded(FilterChain(scan, below, ctx))
+        top = FilterChain(padded, above, ctx)
+        out = []
+        for row in top:
+            out.append(row)
+            if len(out) == 3:
+                evaluated_below = len(seen)
+                below[:] = []
+                above[:] = [predicate]
+        slot = scan.scope.slot("t3", "u20")
+        rows = list(db.catalog.table("t3").heap.all_rows())
+        # Each row met the predicate exactly once, in scan order, read
+        # from the right slot on either side of the splice ...
+        assert seen == [row[slot] for row in rows]
+        assert db.meter.function_calls == len(rows)
+        assert out == [(0,) + row for row in rows if row[slot] % 2 == 0]
+        # ... below until the splice (only survivors flowed up), above
+        # after it (the emptied chain below passes every row).
+        assert 0 < evaluated_below < len(rows)
+        assert padded.count == 3 + len(rows) - evaluated_below
 
 
 class TestGuardrails:

@@ -7,6 +7,8 @@ import pytest
 
 import repro
 from repro.__main__ import VERBS, build_parser, main
+from repro.exec import EXECUTORS
+from repro.optimizer import STRATEGIES
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +21,46 @@ SQL = (
     "SELECT * FROM t3, t10 "
     "WHERE t3.a1 = t10.ua1 AND costly100(t10.u20)"
 )
+
+
+class TestUnanswerableQueries:
+    """A query the system cannot answer ends in ``error: …`` and exit 1
+    under every strategy on both engines — never a traceback, and never
+    a row multiset that depends on the strategy."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            # A conjunct on no table used to be dropped by every planner
+            # that places selections per table (15 rows; with
+            # ``costly100(7)`` 5 rows and 0 calls, but 0 rows under ldl).
+            ("1 = 2", "predicate 1 = 2 references no column of the FROM"),
+            (
+                "t3.a1 < 5 AND costly100(7)",
+                "predicate costly100(7) references no column of the FROM",
+            ),
+            # An inapplicable operator used to escape as a bare
+            # ZeroDivisionError / TypeError.
+            ("t3.a1 / 0 = 1", "cannot evaluate (t3.a1 / 0): division by zero"),
+            ("t3.a1 < 'x'", "cannot evaluate t3.a1 < 'x': '<' not supported"),
+            (
+                "costly100(t3.u20) AND t3.a1 + 'x' = 1",
+                "cannot evaluate (t3.a1 + 'x'): unsupported operand",
+            ),
+        ],
+    )
+    def test_error_line_and_exit_one(
+        self, capsys, where, message, strategy, executor
+    ):
+        code, out, err = run_cli(
+            capsys, "--sql", f"SELECT * FROM t3 WHERE {where}",
+            "--scale", "5", "--strategy", strategy, "--executor", executor,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {message}"), err
+        assert "rows, charged" not in out
 
 
 class TestCli:

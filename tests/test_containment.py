@@ -6,7 +6,7 @@ import pytest
 from repro.bench.workloads import build_workload
 from repro.catalog.datagen import build_database
 from repro.errors import ExecutionError
-from repro.exec import Executor, FailurePolicy
+from repro.exec import EXECUTORS, Executor, FailurePolicy
 from repro.exec.containment import (
     EXHAUSTION_POLICIES,
     ContainmentState,
@@ -24,14 +24,17 @@ def q1_setup(scale=5):
     return db, optimized.plan
 
 
-def run_with_faults(db, plan, specs, policy, clock=None):
+def run_with_faults(db, plan, specs, policy, clock=None, executor="row"):
     fault_plan = FaultPlan(seed=0, specs=tuple(specs))
     injector = FaultInjector(fault_plan)
     with injector.install(db.catalog):
-        executor = Executor(
-            db, failure_policy=policy, clock=injector.clock
+        runner = Executor(
+            db,
+            failure_policy=policy,
+            clock=injector.clock,
+            executor=executor,
         )
-        return executor.execute(plan), injector
+        return runner.execute(plan), injector
 
 
 class TestFailurePolicy:
@@ -158,6 +161,22 @@ class TestExhaustionPolicies:
         assert entry.action == "skip-row"
         assert entry.attempts == 1
         assert entry.row_preview
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_row_preview_is_the_binding_the_udf_saw(self, executor):
+        result, _ = run_with_faults(
+            self.db, self.plan, self.permanent,
+            FailurePolicy(retries=0, on_exhausted="skip-row"),
+            executor=executor,
+        )
+        entry = result.quarantine.entries[0]
+        # The preview is the binding the UDF saw — ``costly100(t10.u20)``
+        # failed from its fourth call, on the fourth t10 row's ``u20`` —
+        # not a prefix of the composite row.
+        t10 = self.db.catalog.table("t10")
+        slot = t10.schema.attribute_names.index("u20")
+        fourth = list(t10.heap.all_rows())[3]
+        assert entry.row_preview == repr((fourth[slot],))
 
     def test_quarantine_report_serialises(self):
         result, _ = run_with_faults(

@@ -1,9 +1,10 @@
 """Unit tests: the expression AST, evaluation, and NULL semantics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog.functions import FunctionRegistry
-from repro.errors import PlanError
+from repro.errors import ExecutionError, PlanError
 from repro.expr.expressions import (
     BinaryOp,
     Column,
@@ -13,6 +14,7 @@ from repro.expr.expressions import (
     Logical,
     Not,
     Scope,
+    compile_kernel,
     conjuncts,
 )
 
@@ -157,6 +159,102 @@ class TestStructure:
             "=", FuncCall("f", (Column("t", "a"),)), Const("red")
         )
         assert str(expr) == "f(t.a) = 'red'"
+
+
+class TestInapplicableOperators:
+    """An operator that cannot apply to its operands is a structured
+    error naming the expression — never a bare ZeroDivisionError or
+    TypeError — from the reference and from the compiled kernel alike."""
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            (
+                Comparison(
+                    "=", BinaryOp("/", Column("t", "a"), Const(0)), Const(1)
+                ),
+                "cannot evaluate (t.a / 0): division by zero",
+            ),
+            (
+                Comparison("<", Column("t", "a"), Const("x")),
+                "cannot evaluate t.a < 'x': '<' not supported",
+            ),
+        ],
+    )
+    def test_reference_and_kernel_raise_the_same_error(
+        self, env, expr, message
+    ):
+        row, scope, registry = env
+        with pytest.raises(ExecutionError) as reference:
+            expr.evaluate(row, scope, registry)
+        with pytest.raises(ExecutionError) as compiled:
+            compile_kernel(expr, scope, registry)(row)
+        assert str(reference.value) == str(compiled.value)
+        assert str(reference.value).startswith(message)
+
+    def test_a_function_body_error_is_not_converted(self, env):
+        row, scope, registry = env
+        registry.register("boom", lambda x: x / 0, cost_per_call=1.0)
+        expr = Comparison(
+            "=", FuncCall("boom", (Column("t", "a"),)), Const(1)
+        )
+        with pytest.raises(ZeroDivisionError):
+            expr.evaluate(row, scope, registry)
+        with pytest.raises(ZeroDivisionError):
+            compile_kernel(expr, scope, registry)(row)
+
+
+_SCOPE = Scope([("t", "a"), ("t", "b"), ("s", "a")])
+
+# Small values only: ``'ab' * n`` nests, and must stay small.
+_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["", "ab", "x"]),
+    st.booleans(),
+    st.none(),
+)
+_leaves = st.one_of(
+    _values.map(Const),
+    st.sampled_from(_SCOPE.columns).map(lambda column: Column(*column)),
+)
+
+
+def _trees(children):
+    comparators = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+    arithmetic = st.sampled_from(["+", "-", "*", "/"])
+    operands = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        st.builds(Comparison, comparators, children, children),
+        st.builds(BinaryOp, arithmetic, children, children),
+        st.builds(Logical, st.sampled_from(["AND", "OR"]), operands),
+        st.builds(Not, children),
+    )
+
+
+def _outcome(thunk):
+    try:
+        return ("value", thunk())
+    except Exception as error:  # the property is "same exception type"
+        return ("raised", type(error), str(error))
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        expr=st.recursive(_leaves, _trees, max_leaves=12),
+        row=st.tuples(_values, _values, _values),
+    )
+    def test_compiled_kernel_equals_evaluate(self, expr, row):
+        """``compile_kernel`` is ``Expr.evaluate`` with the slots resolved
+        early: same value (and type — ``True`` is not ``1``) or the same
+        exception, on NULLs, ``/ 0`` and mixed-type operands included."""
+        registry = FunctionRegistry()
+        reference = _outcome(lambda: expr.evaluate(row, _SCOPE, registry))
+        compiled = _outcome(
+            lambda: compile_kernel(expr, _SCOPE, registry)(row)
+        )
+        assert compiled == reference
+        assert type(compiled[1]) is type(reference[1])
 
 
 class TestConjuncts:
