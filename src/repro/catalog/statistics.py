@@ -79,10 +79,11 @@ def measured_stats(
     rows: list[tuple],
     page_size: int,
 ) -> RelationStats:
-    """Compute exact statistics by scanning ``rows``."""
+    """Compute exact statistics by scanning ``rows``; NULLs count towards
+    the cardinality only."""
     attributes = {}
     for position, attribute in enumerate(schema.attributes):
-        values = [row[position] for row in rows]
+        values = [row[position] for row in rows if row[position] is not None]
         if values:
             attributes[attribute.name] = AttributeStats(
                 ndistinct=len(set(values)), low=min(values), high=max(values)

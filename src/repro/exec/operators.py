@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from repro.catalog.catalog import Catalog
@@ -406,6 +407,8 @@ class IndexNestedLoopJoinOp(Operator):
         for outer_row in self.outer:
             self.ctx.meter.charge_cpu(cpu)
             key = outer_row[self.outer_slot]
+            if key is None:  # NULL keys never match
+                continue
             for rid in self.index.search(key):
                 inner_row = fetch_rid(rid)
                 if inner_passes(inner_row):
@@ -435,8 +438,9 @@ class MergeJoinOp(Operator):
         )
 
     def _sorted_rows(self, child: Operator, slot: int) -> list[tuple]:
+        """The child's rows in key order, charged as an external sort of
+        all of them; NULL keys never match, so those rows are dropped."""
         rows = list(child)
-        rows.sort(key=lambda row: row[slot])
         width = _scope_width(child.scope, self.ctx.catalog)
         params = self.ctx.params
         pages = int(params.pages_for(len(rows), width))
@@ -446,7 +450,10 @@ class MergeJoinOp(Operator):
             IOKind.SEQUENTIAL, 2 * pages * params.sort_passes(pages)
         )
         self.ctx.meter.charge_cpu(params.cpu_per_tuple * len(rows))
-        return rows
+        return sorted(
+            (row for row in rows if row[slot] is not None),
+            key=itemgetter(slot),
+        )
 
     def __iter__(self) -> Iterator[tuple]:
         outer_rows = self._sorted_rows(self.outer, self.outer_slot)
@@ -506,6 +513,7 @@ class HashJoinOp(Operator):
             meter.charge_cpu(cpu)
             table.setdefault(inner_row[self.inner_slot], []).append(inner_row)
             inner_count += 1
+        table.pop(None, None)  # NULL keys never match
         inner_width = _scope_width(self.inner.scope, self.ctx.catalog)
         inner_pages = self.ctx.params.pages_for(inner_count, inner_width)
         if inner_pages > self.ctx.params.hash_memory_pages:

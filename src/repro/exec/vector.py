@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from itertools import compress
+from operator import concat, itemgetter
 from typing import Iterator
 
 from repro.errors import ExecutionError
@@ -369,7 +370,15 @@ class BatchNestedLoopJoin(NestedLoopJoinOp):
 
 class BatchHashJoin(HashJoinOp):
     """Hash join; build/probe CPU and Grace-spill charges mirror the row
-    operator (bulk-charged per batch)."""
+    operator (bulk-charged per batch).
+
+    Build and probe run at C speed: the table is ``dict(zip(keys, rows))``
+    and a batch probes with ``map(table.get, keys)``, whose result doubles
+    as the batch's selection vector. The table maps a key to its *row*
+    when the build proves the keys unique (as many entries as rows — the
+    key–foreign-key join), and to the list of its rows otherwise. NULL
+    keys never match.
+    """
 
     def __init__(
         self,
@@ -386,19 +395,25 @@ class BatchHashJoin(HashJoinOp):
         ctx = self.ctx
         meter = ctx.meter
         cpu = ctx.params.cpu_per_tuple
-        inner_slot = self.inner_slot
-        table: dict[object, list[tuple]] = {}
-        inner_count = 0
+        inner_rows: list[tuple] = []
         for batch in self.inner:
             meter.charge_cpu(cpu * batch.length)
-            inner_count += batch.length
-            for inner_row in batch.iter_rows():
-                table.setdefault(inner_row[inner_slot], []).append(inner_row)
+            inner_rows.extend(batch.rows)
+        inner_count = len(inner_rows)
+        inner_key = itemgetter(self.inner_slot)
+        table: dict = dict(zip(map(inner_key, inner_rows), inner_rows))
+        unique = len(table) == inner_count
+        if not unique:
+            table = {}
+            for inner_row in inner_rows:
+                table.setdefault(inner_key(inner_row), []).append(inner_row)
+        del inner_rows  # the table holds them while the probe runs
+        table.pop(None, None)
         inner_width = _scope_width(self.inner.scope, ctx.catalog)
         inner_pages = ctx.params.pages_for(inner_count, inner_width)
         out = _BatchBuilder(self.scope, self.batch_rows)
         pending = out.rows
-        outer_slot = self.outer_slot
+        outer_key = itemgetter(self.outer_slot)
         if inner_pages > ctx.params.hash_memory_pages:
             # Grace hash join: partition both sides to disk and back.
             outer_batches = list(self.outer)
@@ -412,10 +427,15 @@ class BatchHashJoin(HashJoinOp):
             outer_batches = self.outer
         for obatch in outer_batches:
             meter.charge_cpu(cpu * obatch.length)
-            for outer_row in obatch.rows:
-                matched = table.get(outer_row[outer_slot])
-                if matched:
-                    for inner_row in matched:
+            # An inner row or a non-empty bucket per matching outer row,
+            # None for the rest: the probe's selection vector.
+            found = list(map(table.get, map(outer_key, obatch.rows)))
+            matching = compress(obatch.rows, found)
+            if unique:
+                pending.extend(map(concat, matching, filter(None, found)))
+            else:
+                for outer_row, bucket in zip(matching, filter(None, found)):
+                    for inner_row in bucket:
                         pending.append(outer_row + inner_row)
             yield from out.drain()
         yield from out.flush()

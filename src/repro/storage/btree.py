@@ -13,7 +13,8 @@ range searches returning RIDs, and incremental inserts with node splits.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from repro.storage.buffer import BufferPool
 from repro.storage.meter import IOKind
@@ -132,13 +133,17 @@ class BTree:
 
     # -- bulk load -----------------------------------------------------------
 
-    def bulk_load(self, pairs: list[tuple[object, RID]]) -> None:
+    def bulk_load(self, pairs: Iterable[tuple[object, RID]]) -> None:
         """Replace the tree's contents with ``pairs`` (need not be sorted).
+        NULL keys are not indexed: no equality or range matches them.
 
         No I/O is charged: like heap population, index builds model the
         pre-existing database.
         """
-        ordered = sorted(pairs, key=lambda pair: pair[0])
+        ordered = sorted(
+            (pair for pair in pairs if pair[0] is not None),
+            key=itemgetter(0),
+        )
         self._next_page = 0
         self._entries = len(ordered)
         if not ordered:
@@ -224,7 +229,10 @@ class BTree:
     # -- insert ----------------------------------------------------------------
 
     def insert(self, key: object, rid: RID) -> None:
-        """Insert one entry, splitting nodes as needed (charges I/O)."""
+        """Insert one entry, splitting nodes as needed (charges I/O);
+        a NULL key is not indexed."""
+        if key is None:
+            return
         split = self._insert_into(self._root, key, rid)
         if split is not None:
             separator, new_child = split

@@ -8,6 +8,7 @@ rate, matching the paper's "unclustered tuples" costing.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from repro.storage.buffer import BufferPool
@@ -46,11 +47,9 @@ class HeapFile:
         self._cardinality += 1
         return (page.page_no, slot)
 
-    def bulk_load(self, rows: Iterable[tuple]) -> list[RID]:
-        """Append ``rows`` a page-sized slice at a time and return their
-        RIDs in order: what ``insert`` per row does, without the per-row
-        calls. Every page but the last is full, so tuple *i* of the file
-        sits at ``divmod(i, capacity)``."""
+    def bulk_load(self, rows: Iterable[tuple]) -> None:
+        """Append ``rows`` a page-sized slice at a time: what ``insert``
+        per row does, without the per-row calls."""
         rows = list(rows)
         capacity = self._capacity
         pages = self._pages
@@ -63,7 +62,6 @@ class HeapFile:
                 Page(len(pages), capacity, rows[start : start + capacity])
             )
         self._cardinality = first + len(rows)
-        return [divmod(i, capacity) for i in range(first, self._cardinality)]
 
     # -- access ----------------------------------------------------------
 
@@ -74,6 +72,12 @@ class HeapFile:
     @property
     def cardinality(self) -> int:
         return self._cardinality
+
+    def rids(self) -> Iterator[RID]:
+        """Every tuple's RID in file order, derived on demand: every page
+        but the last is full, so tuple *i* sits at ``divmod(i, capacity)``
+        and nothing need be stored."""
+        return map(divmod, range(self._cardinality), repeat(self._capacity))
 
     def scan_pages(self) -> Iterator[Page]:
         """Full sequential scan, charging one sequential I/O per page."""

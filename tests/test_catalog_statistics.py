@@ -73,6 +73,15 @@ class TestMeasuredStats:
         assert stats.cardinality == 0
         assert stats.ndistinct("a1") == 0
 
+    def test_nulls_count_towards_cardinality_only(self):
+        schema = RelationSchema.from_names("t", ["a1", "u20"])
+        rows = [(3, None), (None, None), (7, None), (3, None)]
+        stats = measured_stats(schema, rows, 8192)
+        assert stats.cardinality == 4
+        a1, u20 = stats.attribute("a1"), stats.attribute("u20")
+        assert (a1.ndistinct, a1.low, a1.high) == (2, 3, 7)
+        assert (u20.ndistinct, u20.width) == (0, 0)
+
     def test_width_property(self):
         schema = RelationSchema.from_names("t", ["a1"])
         stats = measured_stats(schema, [(3,), (7,)], 8192)

@@ -5,13 +5,22 @@ rows; (2) measured charges follow the cost-model formulas; (3) plans give
 the same answers regardless of predicate placement.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ExecutionError
+from repro.catalog.catalog import TableEntry
+from repro.catalog.schema import RelationSchema
+from repro.catalog.statistics import measured_stats
+from repro.cost.params import CostParams
+from repro.database import Database
+from repro.errors import BudgetExceededError, ExecutionError
 from repro.exec import EXECUTORS, Executor
 from repro.exec.operators import RuntimeContext, build_operator
 from repro.plan.nodes import Join, JoinMethod, Plan, Scan
+from repro.storage.btree import BTree
+from repro.storage.heap import HeapFile
 from tests.conftest import costly_filter, equijoin, execute_on
 
 
@@ -254,3 +263,115 @@ class TestPropertyEquivalence:
         assert sorted(result.rows) == reference_join(
             tiny_db, outer, inner, "ua1", inner_col
         )
+
+
+def keyed_db(outer_keys, inner_keys, **params):
+    """Hand-made ``t1`` (outer) and ``t2`` (inner): ``a1`` is the join key
+    (indexed, may be NULL), ``ua1`` numbers the rows so no two are equal.
+    ``cpu_per_tuple`` is a power of two, so *n* charges of it and one
+    charge of *n* times it are the same float."""
+    db = Database.empty(CostParams(cpu_per_tuple=2.0**-8, **params))
+    page_size = db.params.page_size
+    for name, keys in (("t1", outer_keys), ("t2", inner_keys)):
+        schema = RelationSchema.from_names(name, ["a1", "ua1"])
+        rows = [(key, 10 * int(name[1]) + i) for i, key in enumerate(keys)]
+        heap = HeapFile(name, schema.tuple_width, db.pool, page_size=page_size)
+        heap.bulk_load(rows)
+        index = BTree(f"{name}_a1", db.pool, page_size=page_size)
+        index.bulk_load(zip(keys, heap.rids()))
+        db.catalog.register_table(TableEntry(
+            schema=schema,
+            stats=measured_stats(schema, rows, page_size),
+            heap=heap,
+            indexes={"a1": index},
+        ))
+    return db
+
+
+def key_join(db, method):
+    return join_plan(
+        db, method, outer="t1", inner="t2", outer_col="a1", inner_col="a1"
+    )
+
+
+#: NULLs on both sides, a key only one side has.
+NULL_OUTER, NULL_INNER = [1, None, 2, None], [1, None, 3]
+
+join_keys = st.lists(st.one_of(st.none(), st.integers(0, 4)), max_size=9)
+BATCH_ROWS = (1, 7, 1024)
+
+
+class TestJoinKeyShapes:
+    """NULL, duplicate, unique and empty sides: every join method on
+    either engine returns the nested loop's rows, and the batch hash join
+    is the row hash join row for row and charge for charge."""
+
+    @method_on_engine
+    def test_null_keys_never_match(self, method, executor):
+        db = keyed_db(NULL_OUTER, NULL_INNER)
+        result = Executor(db, executor=executor).execute(key_join(db, method))
+        assert result.completed and result.rows == [(1, 10, 1, 20)]
+
+    @given(outer_keys=join_keys, inner_keys=join_keys)
+    @settings(max_examples=40, deadline=None)
+    def test_every_method_returns_the_nested_loops_rows(
+        self, outer_keys, inner_keys
+    ):
+        db = keyed_db(outer_keys, inner_keys)
+        expected = Counter(
+            Executor(db).execute(key_join(db, JoinMethod.NESTED_LOOP)).rows
+        )
+        assert sum(expected.values()) == sum(
+            outer is not None and outer == inner
+            for outer in outer_keys for inner in inner_keys
+        )
+        for method in JoinMethod:
+            plan = key_join(db, method)
+            assert Counter(Executor(db).execute(plan).rows) == expected, method
+            for batch_rows in BATCH_ROWS:
+                vector = Executor(
+                    db, executor="vector", batch_rows=batch_rows
+                ).execute(plan)
+                assert Counter(vector.rows) == expected, (method, batch_rows)
+
+    @given(
+        outer_keys=join_keys,
+        inner_keys=st.one_of(
+            join_keys, st.permutations(range(6))  # a unique build side
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_hash_join_is_the_row_hash_join(
+        self, outer_keys, inner_keys
+    ):
+        seq_ios = []
+        for hash_memory_pages in (1024, 0):  # in memory, then Grace
+            db = keyed_db(
+                outer_keys, inner_keys, hash_memory_pages=hash_memory_pages
+            )
+            plan = key_join(db, JoinMethod.HASH)
+            row = Executor(db).execute(plan)
+            charged = db.meter.snapshot()
+            seq_ios.append(charged["seq_ios"])
+            for batch_rows in BATCH_ROWS:
+                vector = Executor(
+                    db, executor="vector", batch_rows=batch_rows
+                ).execute(plan)
+                assert vector.rows == row.rows, batch_rows
+                assert db.meter.snapshot() == charged, batch_rows
+        # Only a build side with rows in it has pages to spill.
+        assert (seq_ios[1] > seq_ios[0]) == bool(inner_keys)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_budget_abort_is_a_dnf(self, executor):
+        db = keyed_db(NULL_OUTER * 50, NULL_INNER * 50)
+        plan = key_join(db, JoinMethod.HASH)
+        complete = Executor(db, executor=executor).execute(plan)
+        assert complete.completed and len(complete.rows) == 2500
+        budget = complete.charged / 2
+        result = Executor(db, executor=executor, budget=budget).execute(plan)
+        assert not result.completed and result.error.startswith("budget:")
+        with pytest.raises(BudgetExceededError):
+            Executor(db, executor=executor, budget=budget).execute(
+                plan, raise_on_budget=True
+            )

@@ -8,7 +8,10 @@ was built before it.
 """
 
 import copy
+import gc
 import runpy
+import tracemalloc
+from collections.abc import Sized
 from pathlib import Path
 
 import pytest
@@ -191,6 +194,65 @@ class TestOrderIndependence:
         )
 
 
+class TestFootprint:
+    """A read pays for the rows it reads: no RID per tuple until a B-tree
+    wants them, and one int object per value of the table."""
+
+    def test_bytes_per_tuple_of_a_heap_read(self):
+        """Allocation counts, so the same on every run (the eager RID list
+        and per-column ints read 244 resident / 320 peak)."""
+        entry = build_database(scale=1000, seed=42).catalog.table("t10")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            entry.heap
+            resident, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (resident - before) / entry.cardinality <= 170
+        assert (peak - before) / entry.cardinality <= 250
+
+    def test_a_generated_table_keeps_no_rids(self):
+        entry = build_database(scale=SCALE, seed=42).catalog.table("t10")
+        entry.heap
+        assert not [
+            name for name, value in vars(entry.source).items()
+            if isinstance(value, Sized) and len(value) >= entry.cardinality
+        ]
+
+    def test_equal_values_of_a_table_are_one_object(self):
+        # Scale 100: values up to 999, past CPython's shared small ints.
+        rows = build_database(scale=100).catalog.table("t10").heap.all_rows()
+        objects = {row[0]: row[0] for row in rows}
+        assert len(objects) == len(rows)
+        assert all(value is objects[value] for row in rows for value in row)
+
+    def test_an_index_read_later_is_the_tree_built_with_the_heap(self):
+        db = build_database(scale=SCALE, seed=42)
+        entry = db.catalog.table("t10")
+        rows = entry.heap.all_rows()
+        run(db, "q1")  # time passes; nothing held the RIDs meanwhile
+        scratch = Database.empty()
+        heap = HeapFile("t10", entry.schema.tuple_width, scratch.pool)
+        rids = [heap.insert(row) for row in rows]
+        for attribute in entry.indexes:
+            position = entry.schema.position(attribute)
+            eager = BTree(f"t10_{attribute}", scratch.pool)
+            eager.bulk_load(
+                [(row[position], rid) for row, rid in zip(rows, rids)]
+            )
+            index = entry.index(attribute)
+            assert (index.entries, index.height, index.pages) == (
+                eager.entries, eager.height, eager.pages
+            )
+            assert list(index.range_entries(*EVERYTHING)) == list(
+                eager.range_entries(*EVERYTHING)
+            )
+            assert index.range_search(3, 5) == eager.range_search(3, 5)
+            index.check_invariants()
+
+
 class TestBuildingIsInvisibleToTheMeter:
     def test_mid_run_materialisation(self):
         db = build_database(scale=SCALE, seed=7)
@@ -235,9 +297,11 @@ class TestManualRegistration:
         rows = [(i, i % 3) for i in range(50)]
         page_size = db.params.page_size
         heap = HeapFile("t1", schema.tuple_width, db.pool, page_size=page_size)
-        rids = heap.bulk_load(rows)
+        heap.bulk_load(rows)
         index = BTree("t1_a1", db.pool, page_size=page_size)
-        index.bulk_load([(row[0], rid) for row, rid in zip(rows, rids)])
+        index.bulk_load(
+            [(row[0], rid) for row, rid in zip(rows, heap.rids())]
+        )
         return db, schema, rows, heap, index
 
     def test_prebuilt_heap_and_indexes(self):

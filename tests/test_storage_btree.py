@@ -49,6 +49,14 @@ class TestBulkLoad:
         tree.check_invariants()
         assert tree.search(17) == [(17, 0)]
 
+    def test_null_keys_are_not_indexed(self):
+        tree, _ = make_tree()
+        tree.bulk_load((key, (i, 0)) for i, key in enumerate([2, None, 1, None]))
+        tree.insert(None, (9, 0))
+        tree.check_invariants()
+        assert tree.entries == 2
+        assert tree.range_search(float("-inf"), float("inf")) == [(2, 0), (0, 0)]
+
     def test_empty_tree(self):
         tree, _ = make_tree()
         tree.bulk_load([])

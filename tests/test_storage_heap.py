@@ -84,9 +84,11 @@ class TestHeapFile:
         one_by_one = HeapFile("t", 100, pool, page_size=800)
         expected = [one_by_one.insert(row) for row in rows]
         sliced = HeapFile("t", 100, pool, page_size=800)
-        rids = [sliced.insert(row) for row in rows[:already]]
-        rids += sliced.bulk_load(rows[already:])
-        assert rids == expected
+        for row in rows[:already]:
+            sliced.insert(row)
+        assert sliced.bulk_load(rows[already:]) is None
+        rids = list(sliced.rids())
+        assert rids == list(one_by_one.rids()) == expected
         assert sliced.cardinality == one_by_one.cardinality
         assert [page.rows for page in sliced.scan_pages()] == [
             page.rows for page in one_by_one.scan_pages()
