@@ -27,6 +27,14 @@ from repro.optimizer import STRATEGIES
 from repro.plan.display import explain_analyze
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -91,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-capacity",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="bound the predicate cache to N total entries across all "
@@ -453,7 +461,9 @@ def _run(args, tracer, out, profiler=NULL_PROFILER, flight=None) -> int:
     executor = Executor(
         db, caching=args.caching, budget=budget, tracer=tracer,
         profiler=profiler, monitor=monitor, executor=args.executor,
-        cache_capacity=args.cache_capacity, flight=flight,
+        # The only bound the CLI offers is documented as least-recently-used.
+        cache_capacity=args.cache_capacity, cache_replacement="lru",
+        flight=flight,
         adaptive=adaptive_policy, ledger=adaptive_ledger,
     )
     result = executor.execute(

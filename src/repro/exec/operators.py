@@ -229,21 +229,15 @@ class _CachingFunctions:
         if wrapper is None:
             ctx = self._ctx
             function = ctx.catalog.functions.get(name)
-            cache = ctx.cache
-            assert cache is not None
 
-            def wrapped(*args: object) -> object:
-                found, value = cache.lookup(name, args)
-                if found:
-                    return value
+            def miss(args: tuple) -> object:
                 value = function(*args)
                 if function.cost_per_call > 0:
                     ctx.meter.charge_function(function.cost_per_call)
-                cache.store(name, args, value)
                 return value
 
-            wrapper = wrapped
-            self._wrappers[name] = wrapper
+            cached = ctx.cache.memoised(name, miss)
+            wrapper = self._wrappers[name] = lambda *args: cached(args)
         return wrapper
 
 

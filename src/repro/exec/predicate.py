@@ -24,21 +24,25 @@ in how it groups charges and sink reports:
   observed once.
 * **a batch at a time** (:meth:`PredicateRunner.evaluate_bindings`, the
   vector engine): detached, charges accrue in bulk (``cost × n`` per
-  batch); with a collector, monitor or containment attached, the same
-  base → containment chain runs per binding and the sinks get one bulk
-  report per batch.
+  batch) and the predicate cache resolves the whole batch at once
+  (:meth:`~repro.exec.cache.PredicateCache.resolve`), its misses going
+  through the same uncached batch evaluator; with a collector, monitor
+  or containment attached, the same base → containment chain runs per
+  binding and the sinks get one bulk report per batch.
 
 Totals — verdicts, ``function_calls``, ``function_charged``, cache
 hits/misses/entries, observation tallies, retry and quarantine counts —
 are identical across regimes (``tests/test_predicate_runner.py``); only
-the meter reading *inside* a batch differs. ``Expr.evaluate`` stays in
+the meter reading *inside* a batch differs, and a batch that aborts
+leaves the cache nothing and tallies nothing. ``Expr.evaluate`` stays in
 :mod:`repro.expr.expressions` as the semantics reference the kernel is
 tested against; nothing in ``exec/`` calls it.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
+from operator import is_, itemgetter
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import UdfError
@@ -190,23 +194,16 @@ class PredicateRunner:
         charge = self.ctx.meter.charge_function
         cost = self.predicate.cost_per_tuple
         if self.caching and not self.function_mode:
-            cache = self.ctx.cache
-            lookup = cache.lookup
-            store = cache.store
-            pred_id = self.predicate.pred_id
+            miss = walk  # charges its own leaves
+            if walk is None:
 
-            def cached(binding: tuple) -> bool:
-                found, value = lookup(pred_id, binding)
-                if not found:
-                    if walk is not None:
-                        value = walk(binding)  # charges its own leaves
-                    else:
-                        value = kernel(binding)
-                        charge(cost)
-                    store(pred_id, binding, value)
-                return value is True
+                def miss(binding: tuple) -> object:
+                    value = kernel(binding)
+                    charge(cost)
+                    return value
 
-            return cached
+            cached = self.ctx.cache.memoised(self.predicate.pred_id, miss)
+            return lambda binding: cached(binding) is True
         if walk is not None:
             return walk
         if self.function_mode or not self.predicate.is_expensive:
@@ -343,53 +340,37 @@ class PredicateRunner:
             or ctx.containment is not None
         ):
             return self._evaluate_attached(bindings)
-        n = len(bindings)
-        mask = bytearray(n)
-        if not n:
-            return mask
-        predicate = self.predicate
+        if not bindings:
+            return bytearray()
         if self.caching and not self.function_mode:
-            # Predicate-level cache: per-binding lookups (hit/miss
-            # parity with the row engine), misses charged in bulk.
-            cache = ctx.cache
-            lookup = cache.lookup
-            store = cache.store
-            pred_id = predicate.pred_id
-            walk = self._walk
-            kernel = self._kernel
-            misses = 0
-            for i, binding in enumerate(bindings):
-                found, value = lookup(pred_id, binding)
-                if not found:
-                    if walk is not None:
-                        value = walk(binding)  # charges its own leaves
-                    else:
-                        value = kernel(binding)
-                        misses += 1
-                    store(pred_id, binding, value)
-                if value is True:
-                    mask[i] = 1
-            if misses:
-                ctx.meter.charge_function(predicate.cost_per_tuple, misses)
-            return mask
+            verdicts = ctx.cache.resolve(
+                self.predicate.pred_id, bindings, self._evaluate_uncached
+            )
+        else:
+            verdicts = self._evaluate_uncached(bindings)
+            if self._direct_function is not None:
+                # batch-form verdicts are bools, which pack straight
+                # into the selection mask at C speed.
+                return bytearray(verdicts)
+        return bytearray(map(is_, verdicts, repeat(True)))
+
+    def _evaluate_uncached(self, bindings: list[tuple]) -> list[object]:
+        """One verdict (``True`` / ``False`` / NULL) per binding, every
+        one evaluated, charged in bulk — also what a batch's cache
+        misses run."""
+        predicate = self.predicate
+        meter = self.ctx.meter
         if self._direct_function is not None:
             verdicts = self._direct_function.call_batch(bindings)
             if predicate.is_expensive:
-                ctx.meter.charge_function(predicate.cost_per_tuple, n)
-            # batch-form verdicts are bools, which pack straight into
-            # the selection mask at C speed.
-            return bytearray(verdicts)
-        evaluate = self._walk if self._walk is not None else self._kernel
-        for i, binding in enumerate(bindings):
-            if evaluate(binding) is True:
-                mask[i] = 1
-        if (
-            self._walk is None
-            and not self.function_mode
-            and predicate.is_expensive
-        ):
-            ctx.meter.charge_function(predicate.cost_per_tuple, n)
-        return mask
+                meter.charge_function(predicate.cost_per_tuple, len(bindings))
+            return verdicts
+        if self._walk is not None:
+            return list(map(self._walk, bindings))  # charges its own leaves
+        verdicts = list(map(self._kernel, bindings))
+        if predicate.is_expensive and not self.function_mode:
+            meter.charge_function(predicate.cost_per_tuple, len(bindings))
+        return verdicts
 
     def pair_evaluator(
         self, inner_vals: list, position: int

@@ -24,7 +24,9 @@ what the row executor charges (same ``charged``, ``io_charged``,
 the same hit/miss counts), and produces the identical row multiset. Runs
 that exceed the cost budget DNF in both executors (charges accrue
 monotonically to the same total), though the partial ``charged`` at
-abort time may differ because batches charge in groups.
+abort time may differ because batches charge in groups — and so may the
+cache's hit/miss tallies and entries, which an aborted batch leaves
+untouched.
 
 Failure containment and the FeedbackCollector / RuntimeMonitor sinks are
 the runner's business: with any of them attached it evaluates one binding

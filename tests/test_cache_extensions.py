@@ -100,6 +100,26 @@ class TestReplacementPolicies:
         with pytest.raises(ExecutionError):
             PredicateCache(replacement="random")
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    @pytest.mark.parametrize(
+        "field", ["max_entries_per_predicate", "max_total_entries"]
+    )
+    def test_non_positive_bound_rejected(self, field, bound):
+        from repro.errors import ExecutionError
+
+        with pytest.raises(ExecutionError, match=f"{field} must be positive"):
+            PredicateCache(**{field: bound})
+
+    def test_executor_rejects_zero_cache_limit(self, tiny_db):
+        # Used to run to completion with every store evicted at once:
+        # 0 hits and 0 entries where the unbounded run hits 95 times.
+        from repro.errors import ExecutionError
+
+        predicate = costly_filter(tiny_db, "costly100", ("t3", "u20"))
+        plan = Plan(Scan(filters=[predicate], table="t3"))
+        with pytest.raises(ExecutionError, match="must be positive, got 0"):
+            Executor(tiny_db, caching=True, cache_limit=0).execute(plan)
+
     def test_executor_accepts_lru(self, tiny_db):
         predicate = costly_filter(tiny_db, "costly100", ("t3", "u20"))
         plan = Plan(Scan(filters=[predicate], table="t3"))

@@ -23,6 +23,47 @@ SQL = (
 )
 
 
+class TestCacheCapacity:
+    """``--cache-capacity N``: least-recently-used, as its help says, and
+    refused before any planning when ``N`` is not a positive integer."""
+
+    ARGS = ("--workload", "q1", "--strategy", "pushdown", "--scale", "10")
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_evicts_least_recently_used(self, capsys, executor):
+        # A plan on which the two policies make different numbers of UDF
+        # calls at the same capacity (FIFO 45, LRU 42).
+        db = repro.build_database(scale=10, seed=42)
+        from repro.bench.workloads import build_workload
+
+        query = build_workload(db, "q1").query
+        plan = repro.optimize(db, query, "pushdown", caching=True).plan
+        calls = {
+            policy: repro.Executor(
+                db, caching=True, cache_capacity=3, cache_replacement=policy
+            ).execute(plan).metrics["function_calls"]
+            for policy in ("fifo", "lru")
+        }
+        assert calls["fifo"] != calls["lru"]
+        code, out, _ = run_cli(
+            capsys, *self.ARGS, "--caching", "--cache-capacity", "3",
+            "--executor", executor,
+        )
+        assert code == 0
+        assert f"({calls['lru']} UDF calls" in out
+
+    @pytest.mark.parametrize("capacity", ["0", "-5", "many"])
+    def test_invalid_capacity_exits_2_before_planning(self, capsys, capacity):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(
+                capsys, *self.ARGS, "--caching", "--cache-capacity", capacity
+            )
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --cache-capacity: must be a positive" in captured.err
+        assert captured.out == ""
+
+
 class TestUnanswerableQueries:
     """A query the system cannot answer ends in ``error: …`` and exit 1
     under every strategy on both engines — never a traceback, and never

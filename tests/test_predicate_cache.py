@@ -1,8 +1,13 @@
 """Unit and integration tests: predicate caching (Section 5.1)."""
 
+import sys
+import tracemalloc
+
 import pytest
 
 from repro.exec import Executor, PredicateCache
+from repro.exec.operators import RuntimeContext
+from repro.exec.predicate import PredicateRunner
 from repro.plan.nodes import Join, JoinMethod, Plan, Scan
 from tests.conftest import costly_filter, equijoin
 
@@ -126,8 +131,10 @@ class TestCachedExecution:
 
 
 class TestGlobalCapacity:
-    """The global entry bound (``max_total_entries``): one LRU budget
-    shared by every predicate's table."""
+    """The global entry bound (``max_total_entries``): one budget shared
+    by every predicate's table, evicted first-in under ``"fifo"`` (the
+    library default) and least-recently-used under ``"lru"`` (what the
+    CLI's ``--cache-capacity`` asks for)."""
 
     def test_global_bound_evicts_oldest_across_owners(self):
         cache = PredicateCache(max_total_entries=3)
@@ -214,3 +221,70 @@ class TestGlobalCapacity:
         # hit/miss/eviction history is identical too.
         assert vector.cache_stats.hits == row.cache_stats.hits
         assert vector.cache_stats.evictions == row.cache_stats.evictions
+
+
+def python_calls(function, *args) -> int:
+    """Python-level calls made while ``function(*args)`` runs (C calls
+    are not counted): a count, so it repeats exactly."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestBatchProbeCost:
+    """What a batch costs an unbounded cache, in counts rather than
+    seconds: interpreter calls per batch and table bytes per entry."""
+
+    @pytest.fixture()
+    def runner(self, tiny_db):
+        # ``costly100(t3.u20)``: a direct function, so misses take the
+        # registry's batch form.
+        predicate = costly_filter(tiny_db, "costly100", ("t3", "u20"))
+        ctx = RuntimeContext(
+            catalog=tiny_db.catalog,
+            meter=tiny_db.meter,
+            params=tiny_db.params,
+            caching=True,
+        )
+        return PredicateRunner(predicate, ctx)
+
+    def test_all_hit_batch_makes_a_constant_number_of_calls(self, runner):
+        bindings = [(value % 50,) for value in range(1024)]
+        runner.evaluate_bindings(bindings)
+        before = runner.ctx.cache.stats.hits
+        # One call per binding (> 1 024) when every probe was a
+        # ``lookup`` call out of a per-binding loop.
+        assert python_calls(runner.evaluate_bindings, bindings) <= 10
+        assert runner.ctx.cache.stats.hits == before + 1024
+
+    def test_distinct_misses_do_not_add_calls(self, runner):
+        few = [(value,) for value in range(10)]
+        many = [(value,) for value in range(1000, 1500)] * 2
+        few_calls = python_calls(runner.evaluate_bindings, few)
+        assert python_calls(runner.evaluate_bindings, many) == few_calls <= 20
+        assert runner.ctx.cache.stats.misses == 10 + 500
+        assert runner.ctx.cache.stats.hits == 500
+
+    def test_table_overhead_per_entry(self):
+        keys = [(value, value + 1) for value in range(100_000)]
+        cache = PredicateCache()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            cache.resolve(1, keys, lambda missing: [True] * len(missing))
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.entries(1) == 100_000
+        # A plain dict is 52 B per entry; an OrderedDict was 105.
+        assert (after - before) / 100_000 <= 60

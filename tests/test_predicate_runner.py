@@ -11,9 +11,11 @@ uncontained charges must be the ones worked out by hand below.
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog.datagen import build_database
-from repro.errors import UdfError
+from repro.errors import BudgetExceededError, UdfError
+from repro.exec.cache import PredicateCache
 from repro.exec.containment import ContainmentState, FailurePolicy
 from repro.exec.operators import RuntimeContext
 from repro.exec.predicate import PredicateRunner
@@ -208,3 +210,184 @@ def test_one_at_a_time_equals_one_batch(cache_mode, shape, costly, attach):
         ((_, evaluated, passed, cost),) = rows["monitor"]
         assert (evaluated, passed) == (len(ROWS), sum(verdicts))
         assert cost["count"] == len(ROWS)
+
+
+# -- a batch at a time ≡ one at a time, as a property -------------------------
+
+#: Few distinct values, so streams repeat bindings heavily — also inside
+#: one batch — and NULL components are common.
+BINDINGS = st.tuples(
+    st.sampled_from([None, 0, 1, 2, 3]), st.sampled_from([None, 0, 1, 2])
+)
+STREAMS = st.lists(BINDINGS, max_size=40)
+#: Batch sizes, cycled over the stream: one binding, a few, everything.
+CHOPS = st.lists(
+    st.sampled_from([1, 7, 1024]) | st.integers(2, 12), min_size=1, max_size=5
+)
+SHAPES = ("direct", "nullary", "kernel", "and", "or")
+BOUNDS = {
+    "unbounded": {},
+    "limit": {"max_entries_per_predicate": 2},
+    "capacity-fifo": {"max_total_entries": 3},
+    "capacity-lru": {"max_total_entries": 3, "replacement": "lru"},
+}
+
+
+def shaped(shape: str):
+    if shape == "direct":  # synthetic UDF over exactly the binding: batch form
+        return FuncCall("synth", (A, B))
+    if shape == "nullary":  # zero-column bindings
+        return FuncCall("coin", ())
+    if shape == "kernel":  # NULL verdict whenever a or b is NULL
+        return Comparison("<", FuncCall("weigh", (A,)), B)
+    return Logical(
+        shape.upper(), (FuncCall("even", (A,)), FuncCall("small", (B,)))
+    )
+
+
+def stream_run(
+    regime, shape, cache_mode, bounds, stream, chops, fail_at=None, budget=None
+):
+    """``stream`` through one regime on a private database. ``fragile``
+    (shape ``"fragile"``: a scalar UDF; ``"fragile-batch"``: the same
+    with a batch form, so the predicate is direct) records every binding
+    it evaluated and raises on its ``fail_at``-th distinct one."""
+    db = build_database(
+        scale=1, seed=1, relations=("t3",), register_functions=False
+    )
+    functions = db.catalog.functions
+    functions.register(
+        "even", lambda a: None if a is None else a % 2 == 0, cost_per_call=10.0
+    )
+    functions.register(
+        "small", lambda b: None if b is None else b < 1, cost_per_call=4.0
+    )
+    functions.register(
+        "weigh", lambda a: None if a is None else a - 1, cost_per_call=3.0
+    )
+    functions.register("synth", cost_per_call=7.0, seed=5)
+    functions.register("coin", cost_per_call=2.0, seed=6)
+    evaluated = set()
+
+    def fragile(a, b):
+        if (a, b) not in evaluated and len(evaluated) + 1 == fail_at:
+            raise UdfError("fragile", transient=False)
+        evaluated.add((a, b))
+        return ((a or 0) + (b or 0)) % 2 == 0
+
+    if shape == "fragile-batch":
+        fragile.batch = lambda bindings: [fragile(*args) for args in bindings]
+    functions.register("fragile", fragile, cost_per_call=5.0)
+    expr = (
+        FuncCall("fragile", (A, B)) if shape.startswith("fragile")
+        else shaped(shape)
+    )
+    predicate = analyze_conjunct(db.catalog, expr)
+    db.meter.budget = budget
+    ctx = RuntimeContext(
+        catalog=db.catalog,
+        meter=db.meter,
+        params=db.params,
+        caching=True,
+        cache=PredicateCache(**bounds),
+        cache_mode=cache_mode,
+    )
+    runner = PredicateRunner(predicate, ctx)
+    slots = runner.input_slots(SCOPE)
+    assert (shape == "nullary") == (not slots)
+    rows = [(70 + i, a, b) for i, (a, b) in enumerate(stream)]
+    verdicts, raised = [], None
+    try:
+        if regime == "rows":
+            evaluate = runner.row_evaluator(SCOPE)
+            for row in rows:
+                verdicts.append(evaluate(row))
+        else:
+            bindings = [tuple(row[slot] for slot in slots) for row in rows]
+            start = turn = 0
+            while start < len(bindings):
+                size = chops[turn % len(chops)]
+                mask = runner.evaluate_bindings(bindings[start:start + size])
+                verdicts.extend(bit == 1 for bit in mask)
+                start, turn = start + size, turn + 1
+    except (UdfError, BudgetExceededError) as error:
+        raised = (type(error), getattr(error, "function", None))
+    stats = ctx.cache.stats
+    report = {
+        "verdicts": verdicts,
+        "raised": raised,
+        "cache": (stats.hits, stats.misses, stats.evictions),
+        "entries": ctx.cache.total_entries(),
+        "function_calls": db.meter.function_calls,
+        "function_charged": db.meter.function_charged,
+        "udf_calls": {
+            name: functions.get(name).calls for name in functions.names()
+        },
+    }
+    held = {
+        binding for binding in set(stream)
+        if ctx.cache.lookup(predicate.pred_id, binding)[0]
+    }
+    return report, held, evaluated
+
+
+@pytest.mark.parametrize("bounds", list(BOUNDS))
+@pytest.mark.parametrize("cache_mode", ["predicate", "function"])
+@given(shape=st.sampled_from(SHAPES), stream=STREAMS, chops=CHOPS)
+@settings(max_examples=60, deadline=None)
+def test_batches_equal_the_stream(cache_mode, bounds, shape, stream, chops):
+    """However a stream is chopped into batches, the batch regime reports
+    what the row regime reports — for a bounded cache too, because both
+    present it the same sequential stream."""
+    rows, _, _ = stream_run(
+        "rows", shape, cache_mode, BOUNDS[bounds], stream, chops
+    )
+    batch, _, _ = stream_run(
+        "batch", shape, cache_mode, BOUNDS[bounds], stream, chops
+    )
+    assert batch == rows
+    assert rows["raised"] is None and len(rows["verdicts"]) == len(stream)
+    hits, misses, evictions = rows["cache"]
+    if cache_mode == "predicate":
+        assert hits + misses == len(stream)
+        if bounds == "unbounded":
+            distinct = len(set(stream)) if shape != "nullary" else bool(stream)
+            assert (misses, rows["entries"], evictions) == (
+                distinct, distinct, 0
+            )
+
+
+@pytest.mark.parametrize("shape", ["fragile", "fragile-batch"])
+@given(
+    stream=STREAMS, chops=CHOPS, fail_at=st.integers(1, 8),
+    trip_at=st.integers(1, 8), failure=st.sampled_from(["udf", "budget"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_aborted_batches_cache_nothing_unevaluated(
+    shape, stream, chops, fail_at, trip_at, failure
+):
+    """A UDF that raises on its k-th distinct binding (no containment),
+    or a budget that trips inside a batch: both regimes abort alike, and
+    no regime's cache holds a verdict that was never evaluated. (Tallies
+    and contents inside the aborted batch are batch-granular.)"""
+    options = (
+        {"fail_at": fail_at} if failure == "udf"
+        else {"budget": 5.0 * trip_at - 0.5}
+    )
+    reports = {
+        regime: stream_run(
+            regime, shape, "predicate", {}, stream, chops, **options
+        )
+        for regime in ("rows", "batch")
+    }
+    (rows, rows_held, rows_seen), (batch, batch_held, batch_seen) = (
+        reports["rows"], reports["batch"]
+    )
+    assert batch["raised"] == rows["raised"]
+    assert rows_held <= rows_seen and batch_held <= batch_seen
+    if rows["raised"] is None:
+        assert batch == rows
+    else:
+        done = len(batch["verdicts"])  # whole batches before the abort
+        assert batch["verdicts"] == rows["verdicts"][:done]
+        assert set(stream[:done]) <= batch_held <= rows_held
