@@ -70,6 +70,10 @@ EVENT_KINDS = {
     "migration.move": (
         "one predicate moved between stream slots by a migration pass"
     ),
+    "migration.skipped": (
+        "a retained candidate not migrated: its planning floor is not "
+        "below the best migrated cost so far"
+    ),
     "migration.select_best": (
         "the migrated candidate chosen as the final plan"
     ),

@@ -13,7 +13,8 @@ The entry point is :func:`~repro.optimizer.optimizer.optimize`, which takes a
 ``migration``
     Predicate Migration — PullRank with unpruneable-subplan retention inside
     System R, then the series–parallel (parallel chains) placement applied
-    to every retained plan until fixpoint (Section 4.4).
+    to every retained plan that could still win, until fixpoint (Section
+    4.4); :mod:`~repro.optimizer.floor` decides which could.
 ``ldl``
     LDL — expensive selections become virtual join steps; left-deep
     enumeration forces pullup from inner inputs (Section 3.1).

@@ -15,14 +15,18 @@ The search is branch-and-bound, with the hard contract that the chosen
 plan is identical to the naive full enumeration (fingerprints gate this
 in CI and in ``test_planner_equivalence.py``):
 
-* **Order prefixes** carry a sound cost lower bound (every selectivity
-  ≤ 1 applied as early as possible, each join charged its cheapest
-  eligible method's mandatory terms). A prefix whose bound already
-  exceeds the incumbent — scaled by a safety factor against float
-  rounding — is cut with all its completions; in particular, once any
-  connected order sets an incumbent, permutations sharing a rejected
-  disconnected (cross-product) prefix die on their nested-loop rescan
-  floor.
+* **Order prefixes** carry the join terms of the planning floor
+  (:mod:`repro.optimizer.floor`: every selectivity ≤ 1 applied as early
+  as possible, each join charged its cheapest eligible method's
+  mandatory terms). A prefix whose bound already exceeds the incumbent —
+  scaled by a safety factor against float rounding — is cut with all its
+  completions; in particular, once any connected order sets an
+  incumbent, permutations sharing a rejected disconnected
+  (cross-product) prefix die on their nested-loop rescan floor.
+* **Complete orders** add the floor's predicate term — the cheapest any
+  evaluation order of the expensive movable predicates could be charged
+  — before their placement combinations are costed, and are cut the
+  same way.
 * **Placement combinations** are costed incrementally slot-by-slot up
   the spine, reusing memoised estimates for the unchanged prefix of the
   previous combination, and abandoned as soon as the accumulated spine
@@ -32,7 +36,7 @@ in CI and in ``test_planner_equivalence.py``):
 
 Both cut kinds are reported in notes (``orders_pruned`` /
 ``combos_pruned``); pruned placement combinations still count against
-``combo_limit``.
+``combo_limit``, and a cut complete order counts none.
 """
 
 from __future__ import annotations
@@ -47,18 +51,13 @@ from repro.expr.predicates import Predicate
 from repro.obs.profile import NULL_PROFILER
 from repro.obs.provenance import NULL_LEDGER
 from repro.obs.tracer import NULL_TRACER
+from repro.optimizer.floor import FLOOR_SAFETY, PlacementFloor
 from repro.optimizer.joinutil import choose_primary, eligible_methods
 from repro.optimizer.policies import rank_sorted
 from repro.optimizer.query import Query
 from repro.plan.nodes import Join, JoinMethod, Plan, Scan
 #: Refuse to enumerate beyond this many (order × placement) combinations.
 DEFAULT_COMBO_LIMIT = 2_000_000
-
-#: Order-prefix bounds are computed with the same float formulas as real
-#: estimates but summed in a different order, so they may exceed a true
-#: completion cost by rounding noise; only prune when the bound beats the
-#: incumbent by a margin far above ulp scale.
-FLOOR_SAFETY = 0.999
 
 
 def exhaustive_plan(
@@ -110,42 +109,22 @@ class _Search:
         self.orders_tried = 0
         self.orders_pruned = 0
         self.plans_costed = 0
-        # Per-table floor ingredients for order-prefix lower bounds.
-        params = model.params
-        self._cpu = params.cpu_per_tuple
-        self._seq = params.seq_weight
-        self._scan_rows_floor: dict[str, float] = {}
-        self._pages: dict[str, float] = {}
-        self._height: dict[str, float] = {}
+        # Lower bounds for order prefixes and complete orders.
+        self.floor = PlacementFloor(query, catalog, model)
         # Per-table selection split, shared by every order's skeleton.
         self._cheap_sel: dict[str, list[Predicate]] = {}
         self._exp_sel: dict[str, list[Predicate]] = {}
         for table in self.tables:
-            entry = catalog.table(table)
-            rows = float(entry.stats.cardinality)
             selections = query.selections_on(table)
-            for predicate in selections:
-                if predicate.selectivity <= 1.0:
-                    rows *= predicate.selectivity
-            self._scan_rows_floor[table] = rows
-            self._pages[table] = float(entry.pages)
-            self._height[table] = params.index_height(entry.cardinality)
             self._cheap_sel[table] = rank_sorted(
                 [p for p in selections if not p.is_expensive]
             )
             self._exp_sel[table] = [p for p in selections if p.is_expensive]
-        self._eff_sel = {
-            id(predicate): model.join_selectivity(predicate)
-            for predicate in self.join_predicates
-        }
         # Scan estimates keyed by (table, filter identities): skeleton
         # scans recur across orders and placement combos with the same
         # predicate objects in the same order, so their estimates are
-        # search-wide invariants. Eligible-method lists likewise, per
-        # (primary, inner table); values keep the primary alive so a
-        # cached id() can never be recycled.
+        # search-wide invariants.
         self._scan_estimates: dict[tuple, object] = {}
-        self._methods_cache: dict[tuple, tuple[Predicate, list]] = {}
 
     def _scan_estimate(self, scan):
         """Memoised estimate of a skeleton scan (no index access paths)."""
@@ -155,15 +134,6 @@ class _Search:
             estimate = self.model.estimate_scan(scan)
             self._scan_estimates[key] = estimate
         return estimate
-
-    def _methods_for(self, primary, cheap, table):
-        key = (id(primary), table)
-        cached = self._methods_cache.get(key)
-        if cached is not None and cached[0] is primary:
-            return cached[1]
-        methods = eligible_methods(self.catalog, primary, cheap, table)
-        self._methods_cache[key] = (primary, methods)
-        return methods
 
     # -- driver ------------------------------------------------------------
 
@@ -187,7 +157,7 @@ class _Search:
         for first in self.tables:
             self._extend_order(
                 [first], {first},
-                self._scan_rows_floor[first], 0.0, [],
+                self.floor.rows_floor[first], 0.0, [],
             )
         self._write_notes(notes, hits_before, misses_before)
         if self.best_root is None:
@@ -224,6 +194,13 @@ class _Search:
         skeleton builder need not recompute connecting sets."""
         count = len(self.tables)
         if len(prefix) == count:
+            if self.best_root is not None:
+                floor = cost_floor + self.floor.predicate_term(
+                    prefix[0], steps
+                )
+                if floor * FLOOR_SAFETY >= self.best_cost:
+                    self._prune_order(prefix, 1, floor)
+                    return
             self.orders_tried += 1
             combos_before = self.combos_seen
             pruned_before = self.combos_pruned
@@ -250,55 +227,37 @@ class _Search:
                 if table in p.tables and p.tables <= seen_new
             ]
             primary, secondaries, cheap = choose_primary(connecting)
-            floor = cost_floor + self._join_floor(
-                primary, cheap, table, rows_floor
+            floor = cost_floor + self.floor.join_floor(
+                self.floor.methods_for(primary, cheap, table),
+                table, rows_floor,
             )
             if (
                 self.best_root is not None
                 and floor * FLOOR_SAFETY >= self.best_cost
             ):
-                completions = math.factorial(count - len(prefix) - 1)
-                self.orders_pruned += completions
-                if self.ledger.enabled:
-                    self.ledger.record(
-                        "exhaustive.order_pruned",
-                        prefix=prefix + [table],
-                        completions_pruned=completions,
-                        floor=floor,
-                        incumbent=self.best_cost,
-                    )
+                self._prune_order(
+                    prefix + [table],
+                    math.factorial(count - len(prefix) - 1),
+                    floor,
+                )
                 continue
-            rows_new = rows_floor * self._scan_rows_floor[table]
-            for p in connecting:
-                sel = self._eff_sel[id(p)]
-                if sel <= 1.0:
-                    rows_new *= sel
+            rows_new = self.floor.joined_rows(rows_floor, table, connecting)
             prefix.append(table)
             steps.append((table, primary, secondaries, cheap))
             self._extend_order(prefix, seen_new, rows_new, floor, steps)
             steps.pop()
             prefix.pop()
 
-    def _join_floor(self, primary, cheap, table, outer_rows):
-        """A sound lower bound on joining ``table`` onto a stream of at
-        least ``outer_rows`` tuples: the cheapest eligible method's
-        mandatory cost terms, everything optional dropped."""
-        cpu = self._cpu
-        inner_rows = self._scan_rows_floor[table]
-        both = cpu * (outer_rows + inner_rows)
-        floor = float("inf")
-        for method in self._methods_for(primary, cheap, table):
-            if method is JoinMethod.NESTED_LOOP:
-                candidate = (
-                    outer_rows * self._pages[table] * self._seq + both
-                )
-            elif method is JoinMethod.INDEX_NESTED_LOOP:
-                candidate = outer_rows * (self._height[table] + cpu)
-            else:  # merge / hash: sort and spill terms are optional
-                candidate = both
-            if candidate < floor:
-                floor = candidate
-        return floor
+    def _prune_order(self, prefix, completions, floor):
+        self.orders_pruned += completions
+        if self.ledger.enabled:
+            self.ledger.record(
+                "exhaustive.order_pruned",
+                prefix=list(prefix),
+                completions_pruned=completions,
+                floor=floor,
+                incumbent=self.best_cost,
+            )
 
     # -- per-order placement search ----------------------------------------
 
@@ -394,7 +353,7 @@ class _Search:
             for node in nodes
         }
         order_methods = [
-            self._methods_for(primary, cheap, table)
+            self.floor.methods_for(primary, cheap, table)
             for table, primary, _, cheap in steps
         ]
 

@@ -13,6 +13,7 @@ from repro.obs.profile import NULL_PROFILER
 from repro.obs.provenance import NULL_LEDGER, skeleton_signature
 from repro.obs.tracer import NULL_TRACER
 from repro.optimizer.exhaustive import exhaustive_plan
+from repro.optimizer.floor import FLOOR_SAFETY, PlacementFloor
 from repro.optimizer.guardrails import sanitize_query
 from repro.optimizer.ldl import ldl_plan
 from repro.optimizer.ldl_ikkbz import ldl_ikkbz_plan
@@ -64,20 +65,54 @@ def migration_strategy(
     ledger=NULL_LEDGER,
 ) -> Plan:
     """Predicate Migration: PullRank enumeration with unpruneable retention,
-    then series–parallel migration of every retained plan (Section 4.4).
+    then series–parallel migration of the retained plans (Section 4.4).
     With ``bushy=True``, enumeration covers bushy trees and migration runs
-    the paper's per-root-to-leaf-path formulation."""
+    the paper's per-root-to-leaf-path formulation.
+
+    A left-deep candidate whose planning floor (:mod:`repro.optimizer.
+    floor`, scaled by ``FLOOR_SAFETY``) is not below the best migrated
+    cost so far cannot win — the lowest cost wins, ties to the earliest
+    candidate — so its fixpoint is skipped (``plans_skipped`` in the
+    notes, a ``migration.skipped`` ledger event). Bushy candidates are
+    always migrated. The floor is computed only for a candidate whose
+    enumerated cost (which bounds the floor from above) is not below the
+    incumbent either, so the first candidate, and every candidate already
+    cheaper than the incumbent, pay nothing for it."""
     planner = SystemRPlanner(
         catalog, model, MigrationPhaseOnePolicy(), bushy=bushy,
         tracer=tracer, profiler=profiler, ledger=ledger,
     )
     with tracer.span("enumerate", policy=planner.policy.name):
         candidates = planner.final_candidates(query)
-    migration_notes: dict = {}
+    migration_notes: dict = {"plans_migrated": 0, "plans_skipped": 0}
     best: Plan | None = None
     best_index = -1
+    floor: PlacementFloor | None = None
     with tracer.span("migrate", candidates=len(candidates)) as span:
         for index, candidate in enumerate(candidates):
+            # The floor is at most the candidate's enumerated cost, so it
+            # is only worth computing when that cost cannot win either.
+            if (
+                best is not None
+                and candidate.estimate.cost * FLOOR_SAFETY
+                >= best.estimated_cost
+            ):
+                if floor is None:
+                    floor = PlacementFloor(query, catalog, model)
+                bound = floor.plan_floor(candidate.node)
+                if (
+                    bound is not None
+                    and bound * FLOOR_SAFETY >= best.estimated_cost
+                ):
+                    migration_notes["plans_skipped"] += 1
+                    if ledger.enabled:
+                        ledger.record(
+                            "migration.skipped",
+                            candidate=index,
+                            floor=bound,
+                            incumbent=best.estimated_cost,
+                        )
+                    continue
             migrated = migrate_plan(
                 Plan(candidate.node, candidate.estimate.cost,
                      candidate.estimate.rows),
@@ -144,8 +179,10 @@ class OptimizedPlan:
 
     ``notes`` holds the strategy's decision counts: every strategy reports
     at least ``subplans_enumerated`` and ``subplans_pruned``, plus
-    strategy-specific counters (pullup verdicts, migration fixpoint
-    iterations and predicate moves, DP states, interleavings counted).
+    strategy-specific counters (pullup verdicts, migration candidates
+    migrated and skipped by the planning floor, fixpoint iterations and
+    predicate moves, DP states, exhaustive orders evaluated and pruned,
+    interleavings counted).
     """
 
     plan: Plan

@@ -501,8 +501,11 @@ class SystemRPlanner:
         for candidate in by_order.values():
             if candidate is not best:
                 kept.append(candidate)
+        # By identity: ``in`` would compare candidates structurally,
+        # recursing through whole plan trees, where one object is meant.
+        kept_ids = {id(candidate) for candidate in kept} if by_skeleton else ()
         for candidate in by_skeleton.values():
-            if candidate not in kept:
+            if id(candidate) not in kept_ids:
                 kept.append(candidate)
                 self.stats.unpruneable_kept += 1
                 if self.ledger.enabled:

@@ -7,7 +7,9 @@ branch-and-bound). The production planners in ``repro.optimizer`` were
 rewritten for speed with the explicit contract that *chosen plans must
 not change*; ``test_planner_equivalence.py`` checks the production
 planners against these references on randomized queries by comparing
-plan fingerprints.
+plan fingerprints. :func:`reference_migration_plan` is Predicate
+Migration's post-pass as it was before the planning floor: every
+retained candidate migrated.
 
 Do not "fix" or optimise this module: its value is bit-for-bit fidelity
 to the original algorithms.
@@ -382,3 +384,28 @@ def _ref_with_method(join: Join, method: JoinMethod, model: CostModel) -> float:
         return model.estimate_plan(join).cost
     finally:
         join.method = previous
+
+
+def reference_migration_plan(
+    query: Query, catalog: Catalog, model: CostModel
+) -> Plan:
+    """Predicate Migration's post-pass without a planning floor: every
+    retained candidate of the production enumerator is migrated, and the
+    cheapest migrated plan wins, ties to the earliest candidate."""
+    from repro.optimizer.migration import migrate_plan
+    from repro.optimizer.policies import MigrationPhaseOnePolicy
+    from repro.optimizer.systemr import SystemRPlanner
+
+    candidates = SystemRPlanner(
+        catalog, model, MigrationPhaseOnePolicy()
+    ).final_candidates(query)
+    best = None
+    for candidate in candidates:
+        migrated = migrate_plan(
+            Plan(candidate.node, candidate.estimate.cost,
+                 candidate.estimate.rows),
+            model,
+        )
+        if best is None or migrated.estimated_cost < best.estimated_cost:
+            best = migrated
+    return best

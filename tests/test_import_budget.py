@@ -32,8 +32,8 @@ OPTIONAL = (
     "repro.obs.runtime_telemetry",
 )
 
-#: ``len(sys.modules)`` after ``import repro.__main__`` (a bare
-#: interpreter holds ~33; the eager import graph held 310) — the
+#: ``len(sys.modules)`` after ``import repro.__main__`` (a bare ``python
+#: -S`` interpreter holds 23; the eager import graph held 310) — the
 #: benchmark's ``startup.modules``.
 IMPORT_CEILING = 60
 
@@ -51,9 +51,15 @@ LAZY_PACKAGES = (
 
 
 def _fresh(script: str, *args: str) -> str:
+    """Run ``script`` in a new interpreter and return its stdout.
+
+    ``-S`` skips ``site``, so ``.pth`` files an environment installs into
+    site-packages (and whatever they import) do not count against
+    ``repro``'s budgets; ``PYTHONPATH`` still puts ``src`` on the path.
+    """
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="0")
     done = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, "-S", "-c", script, *args],
         capture_output=True, text=True, env=env, check=False,
     )
     assert done.returncode == 0, done.stderr

@@ -6,6 +6,8 @@ roughly what factor — at the suite's small scale. The benchmarks in
 CI.
 """
 
+import functools
+
 import pytest
 
 from repro.bench import (
@@ -13,6 +15,7 @@ from repro.bench import (
     outcome_by_strategy,
     run_strategies,
 )
+from repro.catalog.datagen import build_database
 from repro.exec import Executor
 from repro.optimizer import optimize
 
@@ -170,3 +173,50 @@ class TestTable1Applicability:
                     f"correct={should_be_correct}, got relative="
                     f"{cell.relative:.2f} completed={cell.completed}"
                 )
+
+
+#: Cells where Migration's estimate is above PullRank's today, with the
+#: two estimates. Migration re-places every movable predicate on each
+#: candidate and keeps the cheapest *migrated* plan, never the candidate
+#: as enumerated; under predicate caching most fiveway candidates cost
+#: more after migration than before it (DESIGN.md, "Deviations").
+MIGRATION_ABOVE_PULLRANK = {
+    (10, "fiveway", True): (503.11, 502.735),
+    (100, "fiveway", True): (5025.85, 5022.10),
+}
+
+
+def _claim_cells():
+    for scale in (10, 100):
+        for key in ("q1", "q2", "q3", "q4", "q5", "qor", "ldl_example",
+                    "fiveway"):
+            for caching in (False, True):
+                known = MIGRATION_ABOVE_PULLRANK.get((scale, key, caching))
+                marks = []
+                if known is not None:
+                    marks.append(pytest.mark.xfail(
+                        strict=True,
+                        reason=f"migration {known[0]} > pullrank {known[1]}",
+                    ))
+                yield pytest.param(
+                    scale, key, caching, marks=marks,
+                    id=f"s{scale}-{key}-cache{caching:d}",
+                )
+
+
+@functools.lru_cache(maxsize=None)
+def _claim_database(scale: int):
+    return build_database(scale=scale, seed=42)
+
+
+class TestMigrationNotAbovePullRank:
+    """Section 4.4: Predicate Migration is PullRank plus a post-pass, so
+    its estimated cost is never above PullRank's."""
+
+    @pytest.mark.parametrize("scale, key, caching", list(_claim_cells()))
+    def test_estimate(self, scale, key, caching):
+        db = _claim_database(scale)
+        query = build_workload(db, key).query
+        migration = optimize(db, query, "migration", caching=caching)
+        pullrank = optimize(db, query, "pullrank", caching=caching)
+        assert migration.estimated_cost <= pullrank.estimated_cost

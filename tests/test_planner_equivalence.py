@@ -1,12 +1,13 @@
 """Randomized equivalence: rewritten planners vs the vendored seed code.
 
-The PR 3 planner overhaul (bitmask DP keys, memoized cost estimates,
-branch-and-bound exhaustive search) carries one hard contract: *chosen
-plans must not change*. The five committed bench baselines pin that down
-for the paper's queries; these property tests pin it down across a cloud
-of seeded random queries (2–5 tables, random join graphs, random
-expensive selections) by comparing sha256 plan fingerprints against the
-pre-overhaul implementations vendored in
+The planner overhauls (bitmask DP keys, memoized cost estimates,
+branch-and-bound exhaustive search, the planning floor that lets
+Migration skip candidates) carry one hard contract: *chosen plans must
+not change*. The committed bench baselines pin that down for the paper's
+queries; these property tests pin it down across a cloud of seeded
+random queries (2–5 tables, random join graphs, random expensive
+selections), with predicate caching off and on, by comparing sha256 plan
+fingerprints against the un-pruned implementations vendored in
 :mod:`tests.reference_planners`.
 """
 
@@ -19,6 +20,7 @@ import pytest
 from repro.cost.model import CostModel
 from repro.obs.artifacts import plan_fingerprint
 from repro.optimizer.exhaustive import exhaustive_plan
+from repro.optimizer.optimizer import migration_strategy
 from repro.optimizer.policies import (
     MigrationPhaseOnePolicy,
     PullRankPolicy,
@@ -26,10 +28,12 @@ from repro.optimizer.policies import (
     PushDownPolicy,
 )
 from repro.optimizer.systemr import SystemRPlanner
+from repro.plan.nodes import Plan
 from repro.sql import compile_query
 from tests.reference_planners import (
     ReferenceSystemRPlanner,
     reference_exhaustive_plan,
+    reference_migration_plan,
 )
 
 #: Join columns (indexed and unindexed, several repetition factors) and
@@ -79,8 +83,51 @@ def random_query_sql(rng: random.Random, max_tables: int = 5) -> str:
     )
 
 
-def _fresh_model(db) -> CostModel:
-    return CostModel(db.catalog, db.params)
+def seeds_with_caching(count: int) -> list:
+    """``(seed, caching)`` cases: caching off keeps the plain seed as its
+    id, caching on is ``<seed>-cached``."""
+    return [
+        pytest.param(
+            seed, caching, id=f"{seed}-cached" if caching else str(seed)
+        )
+        for caching in (False, True)
+        for seed in range(count)
+    ]
+
+
+def _fresh_model(db, caching: bool = False) -> CostModel:
+    return CostModel(db.catalog, db.params, caching=caching)
+
+
+def assert_same_plan(production, reference):
+    assert plan_fingerprint(production) == plan_fingerprint(reference)
+    assert production.estimated_cost == pytest.approx(
+        reference.estimated_cost, rel=1e-9
+    )
+
+
+def check_exhaustive(db, sql, caching, method_choice="greedy"):
+    query = compile_query(db, sql, name="rand")
+    production = exhaustive_plan(
+        query, db.catalog, _fresh_model(db, caching),
+        method_choice=method_choice,
+    )
+    reference = reference_exhaustive_plan(
+        query, db.catalog, _fresh_model(db, caching),
+        method_choice=method_choice,
+    )
+    assert_same_plan(production, reference)
+
+
+def check_migration(db, sql, caching):
+    query = compile_query(db, sql, name="rand")
+    production = migration_strategy(
+        query, db.catalog, _fresh_model(db, caching)
+    )
+    reference = reference_migration_plan(
+        query, db.catalog, _fresh_model(db, caching)
+    )
+    assert_same_plan(production, reference)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -105,47 +152,52 @@ def test_systemr_matches_reference(tiny_db, policy_name, seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_exhaustive_greedy_matches_reference(tiny_db, seed):
+@pytest.mark.parametrize("seed, caching", seeds_with_caching(12))
+def test_retained_candidates_match_reference(tiny_db, seed, caching):
+    """Migration's candidates — every retained complete plan, in order —
+    are the reference enumerator's, whose pruning deduplicates by plan
+    equality where production compares identities."""
+    rng = random.Random(f"candidates/{seed}")
+    query = compile_query(
+        tiny_db, random_query_sql(rng), name=f"rand{seed}"
+    )
+
+    def fingerprints(planner_cls):
+        candidates = planner_cls(
+            tiny_db.catalog, _fresh_model(tiny_db, caching),
+            policy=MigrationPhaseOnePolicy(),
+        ).final_candidates(query)
+        return [
+            plan_fingerprint(Plan(c.node, c.estimate.cost, c.estimate.rows))
+            for c in candidates
+        ]
+
+    assert fingerprints(SystemRPlanner) == fingerprints(
+        ReferenceSystemRPlanner
+    )
+
+
+@pytest.mark.parametrize("seed, caching", seeds_with_caching(12))
+def test_exhaustive_greedy_matches_reference(tiny_db, seed, caching):
     """Branch-and-bound exhaustive search lands on the same plan as the
     seed full-product search (greedy join-method selection)."""
     rng = random.Random(f"exhaustive/greedy/{seed}")
-    query = compile_query(
-        tiny_db, random_query_sql(rng, max_tables=4), name=f"rand{seed}"
-    )
-    production = exhaustive_plan(
-        query, tiny_db.catalog, _fresh_model(tiny_db)
-    )
-    reference = reference_exhaustive_plan(
-        query, tiny_db.catalog, _fresh_model(tiny_db)
-    )
-    assert plan_fingerprint(production) == plan_fingerprint(reference)
-    assert production.estimated_cost == pytest.approx(
-        reference.estimated_cost, rel=1e-9
-    )
+    check_exhaustive(tiny_db, random_query_sql(rng, max_tables=4), caching)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_exhaustive_enumerate_matches_reference(tiny_db, seed):
+@pytest.mark.parametrize("seed, caching", seeds_with_caching(6))
+def test_exhaustive_enumerate_matches_reference(tiny_db, seed, caching):
     """Same equivalence with full join-method enumeration, on smaller
     queries (the method product grows fast)."""
     rng = random.Random(f"exhaustive/enumerate/{seed}")
-    query = compile_query(
-        tiny_db, random_query_sql(rng, max_tables=3), name=f"rand{seed}"
+    check_exhaustive(
+        tiny_db, random_query_sql(rng, max_tables=3), caching, "enumerate"
     )
-    production = exhaustive_plan(
-        query,
-        tiny_db.catalog,
-        _fresh_model(tiny_db),
-        method_choice="enumerate",
-    )
-    reference = reference_exhaustive_plan(
-        query,
-        tiny_db.catalog,
-        _fresh_model(tiny_db),
-        method_choice="enumerate",
-    )
-    assert plan_fingerprint(production) == plan_fingerprint(reference)
-    assert production.estimated_cost == pytest.approx(
-        reference.estimated_cost, rel=1e-9
-    )
+
+
+@pytest.mark.parametrize("seed, caching", seeds_with_caching(12))
+def test_migration_matches_reference(tiny_db, seed, caching):
+    """Skipping candidates whose planning floor cannot beat the best
+    migrated cost picks the plan that migrating every candidate picks."""
+    rng = random.Random(f"migration/{seed}")
+    check_migration(tiny_db, random_query_sql(rng, max_tables=5), caching)
